@@ -6,26 +6,32 @@
 // cost is amortised across everything that shares work. Within one feed
 // the scan batcher already groups frames ahead of the fan-out; but a
 // server hosting twenty sparse feeds that all serve the same trained
-// model still issues twenty tiny GEMM batches per flush window — one per
-// feed. The broker collects those pending batches from every feed whose
+// model still issues twenty tiny GEMM batches where one would do — one
+// per feed. The broker collects those pending batches from every feed whose
 // backend shares a network architecture/weights identity
-// (filters.Coalescable) and evaluates them as one large ForwardBatch
-// under a size-or-deadline policy, scattering the per-frame outputs back
-// to each submitter — and through it into each feed's shared memo.
+// (filters.Coalescable) and evaluates them as one large ForwardBatch,
+// scattering the per-frame outputs back to each submitter — and through
+// it into each feed's shared memo.
+//
+// Batches close by group commit: a submission that finds its group's
+// evaluator idle runs at once, alone; submissions that arrive while a run
+// is in flight park, and the next run merges them (whole requests, up to
+// Config.Batch frames). Nothing ever waits for batch-mates that may not
+// come — a frame only waits while the evaluator is busy — yet a saturated
+// group still fills whole batches, because frames accumulate exactly
+// while a run is in flight.
 //
 // Coalescing never changes a result: the batched kernels produce
 // bit-identical per-frame outputs for every batch width, and equal
 // coalescing keys certify that any member backend evaluates any member's
-// frames identically. The deadline bounds the latency a frame can add
-// waiting for cross-feed batch-mates, mirroring the per-feed flush
-// deadline, so the server's match-the-moment-it-happens contract holds.
+// frames identically.
 package sched
 
 import (
 	"runtime"
 	"sort"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"vmq/internal/filters"
 	"vmq/internal/video"
@@ -33,24 +39,21 @@ import (
 
 // Config tunes a Broker. The zero value selects the defaults.
 type Config struct {
-	// Batch is the size trigger: a group flushes as soon as its pending
-	// frames reach this count (default 32 — two of the server's default
-	// per-feed micro-batches). Values < 2 select the default.
+	// Batch caps a merged run: the frames of the whole parked requests
+	// one evaluation takes (default 32 — two of the server's default
+	// per-feed micro-batches). A single request larger than the cap still
+	// runs whole. Values < 2 select the default.
 	Batch int
-	// Flush is the deadline trigger: how long the first pending frame of
-	// a group may wait for cross-feed batch-mates (default 2ms, matching
-	// the per-feed scan flush bound).
-	Flush time.Duration
 	// Shards is the number of independently locked sub-brokers that
-	// architecture groups hash into by coalesce key, so one group's flush
+	// architecture groups hash into by coalesce key, so one group's
 	// bookkeeping (joins, departures, metrics) never serialises against
 	// another group's. Values < 1 select max(1, GOMAXPROCS/4) — one shard
 	// per few cores; a group only ever lives on one shard, so sharding
 	// never changes which frames coalesce together.
 	Shards int
-	// Workers sizes the evaluator's CPU budget for one merged flush,
+	// Workers sizes the evaluator's CPU budget for one merged run,
 	// given the number of distinct submitters it coalesced. The broker
-	// applies it (via filters.SetEvalWorkers) only to flushes whose
+	// applies it (via filters.SetEvalWorkers) only to runs whose
 	// estimated cost reaches ParallelFlops — smaller merges evaluate
 	// single-threaded, where the GEMM is too small to pay for fan-out.
 	// nil leaves evaluator defaults untouched (size to GOMAXPROCS). The
@@ -58,7 +61,7 @@ type Config struct {
 	// scans share one CPU budget instead of oversubscribing.
 	Workers func(distinct int) int
 	// ParallelFlops is the estimated multiply-add count (batch frames ×
-	// the evaluator's per-frame ForwardFlops) at which a merged flush is
+	// the evaluator's per-frame ForwardFlops) at which a merged run is
 	// worth fanning across cores. Values < 1 select the default (4M —
 	// roughly a dozen coalesced small-CNN frames).
 	ParallelFlops int64
@@ -67,9 +70,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Batch < 2 {
 		c.Batch = 32
-	}
-	if c.Flush <= 0 {
-		c.Flush = 2 * time.Millisecond
 	}
 	if c.Shards < 1 {
 		c.Shards = runtime.GOMAXPROCS(0) / 4
@@ -85,11 +85,11 @@ func (c Config) withDefaults() Config {
 
 // Broker coalesces batch evaluations across backends sharing an
 // architecture identity. It never blocks a submission indefinitely:
-// every pending request is evaluated by the size trigger, the deadline
-// timer, or the submitter itself, so shutdown needs no coordination.
+// every request is evaluated by its own submitter or by the submitter
+// leading the run that merges it, so shutdown needs no coordination.
 //
 // Internally the broker is sharded: groups hash by coalesce key onto
-// independently locked sub-brokers, so concurrent joins, flush
+// independently locked sub-brokers, so concurrent joins, run
 // bookkeeping and metric folds for unrelated architectures proceed
 // without sharing a lock.
 type Broker struct {
@@ -165,7 +165,7 @@ func (br *Broker) Wrap(b filters.Backend) filters.Backend {
 		// set, one arena) serves the whole group cache-hot.
 		g = &group{
 			key: key, sh: sh, eval: cb,
-			batch: sh.cfg.Batch, flush: sh.cfg.Flush,
+			batch:         sh.cfg.Batch,
 			workersFn:     sh.cfg.Workers,
 			parallelFlops: sh.cfg.ParallelFlops,
 			flopsPerFrame: filters.ForwardFlopsOf(cb),
@@ -176,9 +176,6 @@ func (br *Broker) Wrap(b filters.Backend) filters.Backend {
 	g.joined++
 	g.attached++
 	g.mu.Unlock()
-	// Membership (what flushes wait on) is taken lazily at the proxy's
-	// first submission, so a wrapped-but-idle feed — configured yet
-	// queryless, for instance — never makes anyone wait for it.
 	return &proxy{group: g, inner: b}
 }
 
@@ -187,9 +184,8 @@ type GroupMetrics struct {
 	// Key is the group's architecture/weights identity.
 	Key string `json:"key"`
 	// Members is the number of backends ever wrapped into the group; Live
-	// is how many are actively submitting — membership is taken at a
-	// backend's first submission and released when its feed's source ends
-	// or the feed closes.
+	// is how many of them are still attached — a backend detaches when its
+	// feed's source ends or the feed closes.
 	Members int `json:"members"`
 	Live    int `json:"live"`
 	// Batches is the number of coalesced evaluations; Frames the frames
@@ -271,163 +267,167 @@ func (sh *brokerShard) retireLocked(g *group) {
 	}
 }
 
-// Member is implemented by the backends Wrap returns. Leave releases the
-// backend's group membership when its feed stops submitting (source
-// exhausted, feed closed), so the remaining members' flushes stop waiting
-// out the deadline for submissions that will never come. Leave is
-// idempotent, and a member that submits again after leaving is still
-// served (its frames simply no longer hold up anyone else).
+// Member is implemented by the backends Wrap returns. Leave detaches the
+// backend from its group when its feed stops submitting (source
+// exhausted, feed closed); the group is removed once its last member has
+// left. Leave is idempotent, and a member that submits again after
+// leaving is still served.
 type Member interface {
 	Leave()
 }
 
-// request is one submission awaiting a coalesced evaluation.
+// request is one submission awaiting evaluation.
 type request struct {
-	from   *proxy // submitter, for counting distinct members per window
+	from   *proxy // submitter: counted per run, and the fallback evaluator of a poisoned one
 	frames []*video.Frame
-	outs   []*filters.Output // filled by the flusher before done closes
+	outs   []*filters.Output // filled by the run's leader
 	pval   any               // panic value when this request's evaluation faulted
-	done   chan struct{}
+	// wake exists only on a request parked behind an in-flight run. It
+	// receives true once another submitter's run has resolved the request,
+	// false when the finishing leader hands it the evaluator.
+	wake chan bool
 }
 
-// group is the pending state for one architecture identity.
+// result returns the resolved request's outputs on its submitter's
+// goroutine — or re-panics there with its evaluation's fault, where the
+// query's own pipeline barrier (or the feed's warm-scan barrier) turns it
+// into that query's typed failure.
+func (r *request) result() []*filters.Output {
+	if r.pval != nil {
+		panic(r.pval)
+	}
+	return r.outs
+}
+
+// group is the state of one architecture identity.
 type group struct {
 	key   string
 	sh    *brokerShard
 	eval  filters.BatchBackend
 	batch int
-	flush time.Duration
 
 	// workersFn/parallelFlops/flopsPerFrame drive the multicore routing
-	// of merged flushes (see Config.Workers): flopsPerFrame is the
+	// of merged runs (see Config.Workers): flopsPerFrame is the
 	// evaluator's per-frame estimate, captured once at group creation.
 	workersFn     func(distinct int) int
 	parallelFlops int64
 	flopsPerFrame int64
 
 	mu       sync.Mutex
-	members  int // actively submitting: gates the everyone-pending flush and the lone-member fast path
 	attached int // proxies wrapped and not yet departed: gates group removal
-	joined   int // memberships ever granted (metrics)
+	joined   int // proxies ever wrapped (metrics)
+	// running is set while a submitter leads a run. It serialises the
+	// evaluations (member backends reuse forward-pass arenas and are not
+	// concurrency-safe) and is what makes later submissions park in
+	// pending, oldest first. An idle group has nothing pending.
+	running  bool
 	pending  []*request
-	nframes  int
-	distinct int    // distinct submitters in the current pending window
-	armed    bool   // a deadline timer is running for the current pending set
-	gen      uint64 // bumped per armed window so a stale timer cannot flush the next one early
 	batches  int64
 	frames   int64
 	maxBatch int
 	merged   int64
 
-	// evalMu serialises the underlying evaluations: member backends reuse
-	// forward-pass arenas and are not concurrency-safe.
-	evalMu  sync.Mutex
-	scratch []*filters.Output
+	// Recycled by whichever submitter currently leads.
+	reqs    []*request
 	all     []*video.Frame
+	scratch []*filters.Output
 }
 
-// submit queues frames for the next coalesced evaluation and blocks until
-// their outputs are ready. The caller that trips the size trigger runs
-// the evaluation itself; otherwise the deadline timer's goroutine does.
+// submit evaluates frames through the group and blocks until their
+// outputs are ready. A submission that finds the evaluator idle leads a
+// run at once; one that arrives mid-run parks until a later run has
+// merged it, or until the finishing leader promotes it to lead that run
+// itself.
 func (g *group) submit(from *proxy, frames []*video.Frame) []*filters.Output {
-	r := &request{from: from, frames: frames, done: make(chan struct{})}
+	r := &request{from: from, frames: frames}
 	g.mu.Lock()
-	if g.members < 2 && g.pending == nil {
-		// A single-member group has no one to coalesce with: waiting out
-		// the deadline would only throttle the lone feed. Evaluate
-		// synchronously (still serialised on the group evaluator).
+	if g.running {
+		r.wake = make(chan bool, 1)
+		g.pending = append(g.pending, r)
 		g.mu.Unlock()
-		g.run([]*request{r})
-		if r.pval != nil {
-			panic(r.pval)
+		if <-r.wake {
+			return r.result()
 		}
-		return r.outs
+		g.mu.Lock()
 	}
-	// Count distinct submitters: one member may park several submissions
-	// in a window (concurrent query pipelines over one backend), and they
-	// must not satisfy the everyone-pending trigger on their own.
-	seen := false
-	for _, q := range g.pending {
-		if q.from == from {
-			seen = true
-			break
-		}
-	}
-	g.pending = append(g.pending, r)
-	if !seen {
-		g.distinct++
-	}
-	g.nframes += len(frames)
-	switch {
-	case g.nframes >= g.batch || g.distinct >= g.members:
-		// Size trigger — or every live member already has a submission
-		// parked here, so waiting out the deadline could only add latency.
-		take := g.take()
+	g.running = true
+	if len(g.pending) == 0 && g.attached > 1 {
+		// About to run alone: let every group-mate that is already
+		// runnable park its request first. Without this a group on one
+		// processor never merges — a run does not block, so nobody else
+		// gets to submit while it is in flight. With nothing else
+		// runnable the yield returns at once.
 		g.mu.Unlock()
-		g.run(take)
-	case !g.armed:
-		g.armed = true
-		g.gen++
-		gen := g.gen
-		g.mu.Unlock()
-		time.AfterFunc(g.flush, func() {
-			g.mu.Lock()
-			if g.gen != gen {
-				// This timer's window was already flushed (size trigger,
-				// everyone-pending, or leave); a fresh window may be
-				// pending with its own timer — leave it alone.
-				g.mu.Unlock()
-				return
-			}
-			take := g.take()
-			g.mu.Unlock()
-			g.run(take)
-		})
-	default:
-		g.mu.Unlock()
+		runtime.Gosched()
+		g.mu.Lock()
 	}
-	<-r.done
-	if r.pval != nil {
-		// This submission's evaluation panicked: re-panic on the
-		// submitter's goroutine, where the query's own pipeline barrier
-		// (or the feed's warm-scan barrier) turns it into that query's
-		// typed failure. The flusher goroutine itself never unwinds.
-		panic(r.pval)
-	}
-	return r.outs
+	reqs := g.claimLocked(r)
+	g.mu.Unlock()
+	g.run(reqs)
+	g.handOff()
+	return r.result()
 }
 
-// take claims the pending set (caller holds g.mu). Disarming happens here
-// rather than by stopping the timer: bumping gen makes any still-running
-// timer for this window a no-op without racing timer.Stop.
-func (g *group) take() []*request {
-	reqs := g.pending
-	g.pending = nil
-	g.nframes = 0
-	g.distinct = 0
-	if g.armed {
-		g.armed = false
-		g.gen++
+// claimLocked takes one run's requests — lead, then parked submissions in
+// arrival order for as long as each fits whole under the batch cap — and
+// accounts the run (caller holds g.mu).
+func (g *group) claimLocked(lead *request) []*request {
+	n, k := len(lead.frames), 0
+	for k < len(g.pending) && n+len(g.pending[k].frames) <= g.batch {
+		n += len(g.pending[k].frames)
+		k++
+	}
+	reqs := append(append(g.reqs[:0], lead), g.pending[:k]...)
+	g.popLocked(k)
+	g.batches++
+	g.frames += int64(n)
+	if n > g.maxBatch {
+		g.maxBatch = n
+	}
+	if len(reqs) > 1 {
+		g.merged++
 	}
 	return reqs
 }
 
-// run evaluates one claimed pending set through the group evaluator and
-// scatters the outputs back to the submitters in claim order.
-//
-// run never panics, whichever goroutine carries it (a submitter, the
-// deadline timer, a departing member's flush): a fault in the merged
-// evaluation is contained by re-running each request alone on its own
-// submitter's inner backend — equal coalescing keys make members
-// interchangeable, so healthy group-mates still get their outputs and
-// only the request whose evaluation faults carries the panic value back
-// to its submitter. One poisoned query must not take down its feed's
-// coalesce group, let alone the process hosting it.
-func (g *group) run(reqs []*request) {
-	if len(reqs) == 0 {
+// popLocked drops the k oldest parked requests (caller holds g.mu).
+func (g *group) popLocked(k int) {
+	rest := copy(g.pending, g.pending[k:])
+	clear(g.pending[rest:])
+	g.pending = g.pending[:rest]
+}
+
+// handOff ends a leader's turn: the oldest parked submitter, if any, is
+// woken to lead the next run; otherwise the evaluator goes idle.
+func (g *group) handOff() {
+	g.mu.Lock()
+	if len(g.pending) > 0 {
+		next := g.pending[0]
+		g.popLocked(1)
+		g.mu.Unlock()
+		next.wake <- false
 		return
 	}
-	g.evalMu.Lock()
+	g.running = false
+	abandoned := g.attached <= 0
+	g.mu.Unlock()
+	if abandoned {
+		g.retireIfAbandoned()
+	}
+}
+
+// run evaluates one claimed set through the group evaluator and scatters
+// the outputs back to the submitters in claim order, waking every one but
+// the leader (reqs[0], whose goroutine this is).
+//
+// run never panics: a fault in the merged evaluation is contained by
+// re-running each request alone on its own submitter's inner backend —
+// equal coalescing keys make members interchangeable, so healthy
+// group-mates still get their outputs and only the request whose
+// evaluation faults carries the panic value back to its submitter. One
+// poisoned query must not take down its feed's coalesce group, let alone
+// the process hosting it.
+func (g *group) run(reqs []*request) {
 	all := g.all[:0]
 	distinct := 0
 	for i, r := range reqs {
@@ -444,7 +444,7 @@ func (g *group) run(reqs []*request) {
 		}
 	}
 	if g.workersFn != nil {
-		// Route this flush's CPU budget: merges whose estimated GEMM work
+		// Route this run's CPU budget: merges whose estimated GEMM work
 		// clears the threshold get the scheduler-granted share; smaller
 		// ones stay on one core, where fan-out costs more than it saves.
 		// Worker count never changes output bytes, only wall-clock.
@@ -457,54 +457,35 @@ func (g *group) run(reqs []*request) {
 		filters.SetEvalWorkers(g.eval, workers)
 	}
 	outs, pval := evalGuarded(g.eval, all, g.scratch[:0])
-	if pval == nil {
-		off := 0
-		for _, r := range reqs {
+	off := 0
+	for i, r := range reqs {
+		if pval == nil {
 			r.outs = append(r.outs, outs[off:off+len(r.frames)]...)
 			off += len(r.frames)
-			close(r.done)
+		} else if solo, p := evalGuarded(r.from.inner, r.frames, nil); p != nil {
+			// Merged batch poisoned: isolated per submitter, this one faults.
+			r.pval = p
+		} else {
+			r.outs = solo
 		}
-		// Clear the recycled backing arrays: their slots would otherwise
-		// pin the batch's frames and outputs until the group's next
-		// flush, which on a quiet group may never come.
-		clear(all)
-		clear(outs)
-		g.all, g.scratch = all[:0], outs[:0]
-	} else {
-		// Merged batch poisoned: isolate per submitter.
-		for _, r := range reqs {
-			solo, p := evalGuarded(r.from.inner, r.frames, nil)
-			if p != nil {
-				r.pval = p
-			} else {
-				r.outs = append(r.outs, solo...)
-			}
-			close(r.done)
+		if i > 0 {
+			r.wake <- true
 		}
-		clear(all)
-		g.all = all[:0]
-		// The panicking evaluation may have appended into the scratch
-		// backing array before unwinding; drop it rather than recycle
-		// slots holding unknown state.
-		g.scratch = nil
 	}
-	g.evalMu.Unlock()
-
-	g.mu.Lock()
-	g.batches++
-	g.frames += int64(len(all))
-	if len(all) > g.maxBatch {
-		g.maxBatch = len(all)
-	}
-	if len(reqs) > 1 {
-		g.merged++
-	}
-	g.mu.Unlock()
+	// Clear the recycled backing arrays: their slots would otherwise pin
+	// the run's requests, frames and outputs until the group's next run,
+	// which on a quiet group may never come. A panicking evaluation
+	// returns no outs, so scratch slots it may have written are dropped
+	// rather than recycled.
+	clear(reqs)
+	clear(all)
+	clear(outs)
+	g.reqs, g.all, g.scratch = reqs[:0], all[:0], outs[:0]
 }
 
 // evalGuarded runs one batch evaluation, converting a panic into a
 // returned value so group state and locks stay consistent on the
-// flusher's goroutine.
+// leader's goroutine.
 func evalGuarded(b filters.Backend, frames []*video.Frame, dst []*filters.Output) (outs []*filters.Output, pval any) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -519,7 +500,7 @@ func (g *group) snapshotLocked() GroupMetrics {
 	return GroupMetrics{
 		Key:      g.key,
 		Members:  g.joined,
-		Live:     g.members,
+		Live:     g.attached,
 		Batches:  g.batches,
 		Frames:   g.frames,
 		MaxBatch: g.maxBatch,
@@ -527,63 +508,38 @@ func (g *group) snapshotLocked() GroupMetrics {
 	}
 }
 
-// join registers one actively submitting member (a proxy's first
-// submission).
-func (g *group) join() {
-	g.mu.Lock()
-	g.members++
-	g.mu.Unlock()
-}
-
-// release detaches one proxy — decrementing the submitting membership it
-// held, if any — flushing any pending set that now has a submission from
-// every remaining live member, and removing the group from the broker
-// once its last proxy departs, so rotated-out architectures do not pin
-// their evaluator's weight tensors and scratch buffers forever.
-func (g *group) release(wasMember bool) {
-	g.sh.mu.Lock()
+// release detaches one proxy.
+func (g *group) release() {
 	g.mu.Lock()
 	g.attached--
-	if wasMember && g.members > 0 {
-		g.members--
+	abandoned := g.attached <= 0
+	g.mu.Unlock()
+	if abandoned {
+		g.retireIfAbandoned()
 	}
-	var take []*request
-	if len(g.pending) > 0 && len(g.pending) >= g.members {
-		take = g.take()
-	}
-	if g.attached <= 0 && len(g.pending) == 0 {
-		if cur, ok := g.sh.groups[g.key]; ok && cur == g {
-			delete(g.sh.groups, g.key)
-			g.sh.retireLocked(g)
-		}
+}
+
+// retireIfAbandoned removes the group from the broker once its last proxy
+// has departed and its evaluator is idle, so rotated-out architectures do
+// not pin their evaluator's weight tensors and scratch buffers forever. A
+// group abandoned mid-run is retired by the leader that finds nothing
+// left to hand off to.
+func (g *group) retireIfAbandoned() {
+	g.sh.mu.Lock()
+	g.mu.Lock()
+	if g.attached <= 0 && !g.running && g.sh.groups[g.key] == g {
+		delete(g.sh.groups, g.key)
+		g.sh.retireLocked(g)
 	}
 	g.mu.Unlock()
 	g.sh.mu.Unlock()
-	g.run(take)
 }
 
 // proxy routes one wrapped backend's evaluations through its group.
 type proxy struct {
 	group *group
 	inner filters.Backend
-
-	mu    sync.Mutex
-	state int // 0 fresh, 1 joined (submitted at least once), 2 left
-}
-
-// ensureJoined takes the submitting membership on first use. A proxy
-// that already left never re-joins: its late submissions are still
-// served, they just hold no one up.
-func (p *proxy) ensureJoined() {
-	p.mu.Lock()
-	fresh := p.state == 0
-	if fresh {
-		p.state = 1
-	}
-	p.mu.Unlock()
-	if fresh {
-		p.group.join()
-	}
+	left  atomic.Bool
 }
 
 // Technique implements filters.Backend.
@@ -595,9 +551,7 @@ func (p *proxy) Grid() int { return p.inner.Grid() }
 // Evaluate implements filters.Backend: a batch of one, coalesced like any
 // other submission.
 func (p *proxy) Evaluate(f *video.Frame) *filters.Output {
-	p.ensureJoined()
-	outs := p.group.submit(p, []*video.Frame{f})
-	return outs[0]
+	return p.group.submit(p, []*video.Frame{f})[0]
 }
 
 // EvaluateBatch implements filters.BatchBackend. The returned outputs are
@@ -606,7 +560,6 @@ func (p *proxy) EvaluateBatch(frames []*video.Frame, dst []*filters.Output) []*f
 	if len(frames) == 0 {
 		return dst
 	}
-	p.ensureJoined()
 	return append(dst, p.group.submit(p, frames)...)
 }
 
@@ -621,11 +574,7 @@ func (p *proxy) CoalesceKey() string { return p.group.key }
 
 // Leave implements Member.
 func (p *proxy) Leave() {
-	p.mu.Lock()
-	prev := p.state
-	p.state = 2
-	p.mu.Unlock()
-	if prev != 2 {
-		p.group.release(prev == 1)
+	if p.left.CompareAndSwap(false, true) {
+		p.group.release()
 	}
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -37,75 +38,163 @@ func newTrained(t testing.TB, seed uint64) *filters.Trained {
 	return filters.NewUntrained(filters.OD, p, filters.TrainedConfig{Img: 16, Channels: 8, Seed: seed}, nil)
 }
 
-// Concurrent submissions from many "feeds" sharing one architecture must
-// merge into few large evaluations, and every submitter must get outputs
-// bit-identical to a standalone evaluation of its own frames.
+// gateBackend is a group evaluator whose batch evaluations park until the
+// test lets them through, so a test decides exactly which submissions
+// arrive while a run is in flight. entered reports each evaluation's
+// width as it starts; one token on release (or closing it) lets one
+// evaluation (or all of them) finish. While fault is set an evaluation
+// panics once let through.
+type gateBackend struct {
+	filters.Coalescable
+	entered chan int
+	release chan struct{}
+	fault   atomic.Bool
+}
+
+func newGate(inner filters.Coalescable) *gateBackend {
+	// entered is sized past any test's evaluation count so the evaluator
+	// never blocks on a test that has stopped reading it.
+	return &gateBackend{Coalescable: inner, entered: make(chan int, 64), release: make(chan struct{})}
+}
+
+func (g *gateBackend) EvaluateBatch(frames []*video.Frame, dst []*filters.Output) []*filters.Output {
+	g.entered <- len(frames)
+	<-g.release
+	if g.fault.Load() {
+		panic("injected batch fault")
+	}
+	return g.Coalescable.EvaluateBatch(frames, dst)
+}
+
+func (g *gateBackend) Evaluate(f *video.Frame) *filters.Output {
+	var out [1]*filters.Output
+	return g.EvaluateBatch([]*video.Frame{f}, out[:0])[0]
+}
+
+// submission is one EvaluateBatch call running on its own goroutine.
+type submission struct {
+	outs     []*filters.Output
+	panicked any
+	done     chan struct{}
+}
+
+func submitAsync(b filters.Backend, frames []*video.Frame) *submission {
+	s := &submission{done: make(chan struct{})}
+	go func() {
+		defer close(s.done)
+		defer func() { s.panicked = recover() }()
+		s.outs = filters.EvaluateBatchInto(b, frames, nil)
+	}()
+	return s
+}
+
+// parkBehindRun submits frames through b while a run is in flight and
+// returns once the submission is parked in the group's queue, so
+// successive calls park in a known order.
+func parkBehindRun(t *testing.T, b filters.Backend, frames []*video.Frame) *submission {
+	t.Helper()
+	g := b.(*proxy).group
+	parked := func() int {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		if !g.running {
+			t.Fatal("no run in flight to park behind")
+		}
+		return len(g.pending)
+	}
+	before := parked()
+	s := submitAsync(b, frames)
+	for parked() == before {
+		runtime.Gosched()
+	}
+	return s
+}
+
+func requireOutputs(t *testing.T, who int, s *submission, want []*filters.Output) {
+	t.Helper()
+	<-s.done
+	if s.panicked != nil {
+		t.Fatalf("submitter %d panicked: %v", who, s.panicked)
+	}
+	if len(s.outs) != len(want) {
+		t.Fatalf("submitter %d: %d outputs, want %d", who, len(s.outs), len(want))
+	}
+	for j := range want {
+		requireSameOutput(t, who, j, s.outs[j], want[j])
+	}
+}
+
+// A lone submission into an idle group runs at once, as a batch of one,
+// however many other members are attached: an idle evaluator has nothing
+// to wait for.
+func TestBrokerIdleGroupRunsLoneSubmissionAtOnce(t *testing.T) {
+	gate := newGate(newTrained(t, 3))
+	br := New(Config{Batch: 64})
+	a := br.Wrap(gate)
+	br.Wrap(newTrained(t, 3))
+	br.Wrap(newTrained(t, 3))
+	frames := video.NewStream(video.Jackson(), 9).Take(1)
+	s := submitAsync(a, frames)
+	// The evaluation starts while the other members are idle and nothing
+	// else will ever arrive.
+	if w := <-gate.entered; w != 1 {
+		t.Fatalf("lone submission evaluated as a batch of %d", w)
+	}
+	gate.release <- struct{}{}
+	requireOutputs(t, 0, s, filters.EvaluateBatch(newTrained(t, 3), frames))
+	ms := br.Metrics()
+	if len(ms) != 1 || ms[0].Batches != 1 || ms[0].Frames != 1 || ms[0].Merged != 0 || ms[0].Live != 3 {
+		t.Fatalf("metrics after a lone submission: %+v", ms)
+	}
+}
+
+// Submissions from many "feeds" that arrive while a run is in flight must
+// be merged by the next run — whole requests only, in arrival order,
+// capped at Batch — and every submitter must get outputs bit-identical to
+// a standalone evaluation of its own frames.
 func TestBrokerCoalescesAcrossSubmitters(t *testing.T) {
 	p := video.Jackson()
-	const feeds, perFeed = 8, 16
-	counting := &countingCoalescable{Coalescable: newTrained(t, 7)}
-	br := New(Config{Batch: feeds * 2, Flush: 50 * time.Millisecond})
-
-	backends := make([]filters.Backend, feeds)
-	clips := make([][]*video.Frame, feeds)
-	for i := range backends {
+	gate := newGate(newTrained(t, 7))
+	br := New(Config{Batch: 8})
+	sizes := []int{1, 3, 3, 3, 2} // submitter 0 leads; the rest park behind its run
+	backends := make([]filters.Backend, len(sizes))
+	clips := make([][]*video.Frame, len(sizes))
+	for i, n := range sizes {
 		if i == 0 {
-			backends[i] = br.Wrap(counting) // first member becomes the evaluator
+			backends[i] = br.Wrap(gate) // first member becomes the evaluator
 		} else {
 			backends[i] = br.Wrap(newTrained(t, 7))
 		}
-		clips[i] = video.NewStream(p, uint64(100+i)).Take(perFeed)
+		clips[i] = video.NewStream(p, uint64(100+i)).Take(n)
 	}
 
-	// Reference: each feed evaluated standalone through its own backend.
-	want := make([][]*filters.Output, feeds)
-	for i := range clips {
-		want[i] = filters.EvaluateBatch(newTrained(t, 7), clips[i])
+	subs := make([]*submission, len(sizes))
+	subs[0] = submitAsync(backends[0], clips[0])
+	if w := <-gate.entered; w != 1 {
+		t.Fatalf("leading run evaluated %d frames, want 1", w)
 	}
-
-	var wg sync.WaitGroup
-	got := make([][]*filters.Output, feeds)
-	for i := range backends {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var outs []*filters.Output
-			for off := 0; off < perFeed; off += 2 { // sparse: 2 frames per submission
-				outs = filters.EvaluateBatchInto(backends[i], clips[i][off:off+2], outs)
-			}
-			got[i] = outs
-		}(i)
+	for i := 1; i < len(sizes); i++ {
+		subs[i] = parkBehindRun(t, backends[i], clips[i])
 	}
-	wg.Wait()
-
-	for i := range got {
-		if len(got[i]) != len(want[i]) {
-			t.Fatalf("feed %d: %d outputs, want %d", i, len(got[i]), len(want[i]))
-		}
-		for j := range got[i] {
-			requireSameOutput(t, i, j, got[i][j], want[i][j])
+	// 3+3 fit under the cap of 8, the third 3 does not and is not split:
+	// it leads the run after, which also takes the 2.
+	for _, want := range []int{6, 5} {
+		gate.release <- struct{}{}
+		if w := <-gate.entered; w != want {
+			t.Fatalf("merged run evaluated %d frames, want %d", w, want)
 		}
 	}
+	close(gate.release)
+	for i := range subs {
+		requireOutputs(t, i, subs[i], filters.EvaluateBatch(newTrained(t, 7), clips[i]))
+	}
 
-	totalFrames := int64(feeds * perFeed)
-	if counting.frames.Load() != totalFrames {
-		t.Fatalf("evaluator saw %d frames, want %d", counting.frames.Load(), totalFrames)
-	}
-	// Per-feed dispatch would be feeds*perFeed/2 = 64 calls; coalescing
-	// must do far better. The exact count depends on scheduling (lazy
-	// membership means the first submissions flush small while the group
-	// ramps up), so assert a conservative bound and that cross-submitter
-	// merging happened.
-	if calls := counting.calls.Load(); calls > totalFrames/3 {
-		t.Fatalf("%d evaluations for %d frames — coalescing not happening", calls, totalFrames)
-	}
 	ms := br.Metrics()
 	if len(ms) != 1 {
 		t.Fatalf("one architecture, got %d groups: %+v", len(ms), ms)
 	}
-	g := ms[0]
-	if g.Members != feeds || g.Frames != totalFrames || g.Merged == 0 || g.MaxBatch < 4 {
-		t.Fatalf("group metrics %+v: want %d members, %d frames, merged > 0", g, feeds, totalFrames)
+	if g := ms[0]; g.Members != len(sizes) || g.Batches != 3 || g.Frames != 12 || g.Merged != 2 || g.MaxBatch != 6 {
+		t.Fatalf("group metrics %+v: want %d members, 3 batches of 1+6+5 frames, 2 merged", g, len(sizes))
 	}
 }
 
@@ -132,92 +221,44 @@ func requireSameOutput(t *testing.T, feed, j int, got, want *filters.Output) {
 	}
 }
 
-// A sparse submitter in a multi-member group must not wait for batch-mates
-// that never come: the deadline flushes it — after genuinely waiting out
-// the flush window, since another live member could still submit.
-func TestBrokerDeadlineFlush(t *testing.T) {
-	br := New(Config{Batch: 64, Flush: 50 * time.Millisecond})
-	a := br.Wrap(newTrained(t, 3))
-	b := br.Wrap(newTrained(t, 3))
-	frames := video.NewStream(video.Jackson(), 9).Take(3)
-	// Warm-up round: both proxies submit concurrently, taking their live
-	// memberships (membership is lazy) and flushing via everyone-pending.
-	var wg sync.WaitGroup
-	for i, be := range []filters.Backend{a, b} {
-		wg.Add(1)
-		go func(i int, be filters.Backend) {
-			defer wg.Done()
-			be.Evaluate(frames[i])
-		}(i, be)
-	}
-	wg.Wait()
-	// Lone sparse submission with b idle: must wait out the window (b is
-	// live and could submit), then deadline-flush rather than hang.
-	start := time.Now()
-	out := a.Evaluate(frames[2])
-	waited := time.Since(start)
-	if out == nil {
-		t.Fatal("no output")
-	}
-	if waited < 25*time.Millisecond {
-		t.Fatalf("lone submission returned after %v — it cannot have waited for the %v flush window", waited, br.cfg.Flush)
-	}
-	if waited > 5*time.Second {
-		t.Fatalf("lone submission took %v — deadline flush broken", waited)
-	}
-	ms := br.Metrics()
-	if len(ms) != 1 || ms[0].Frames != 3 || ms[0].Live != 2 {
-		t.Fatalf("metrics after deadline flush: %+v", ms)
-	}
-}
-
-// A single-member group must evaluate synchronously — no deadline stall
-// for batch-mates that cannot exist — so wrapping a lone feed's backend
-// never throttles it.
+// A single-member group never merges: every submission finds the
+// evaluator idle and runs alone.
 func TestBrokerSingleMemberNoStall(t *testing.T) {
-	br := New(Config{Batch: 64, Flush: time.Hour}) // a deadline wait would hang the test
+	br := New(Config{Batch: 64})
 	b := br.Wrap(newTrained(t, 3))
 	frames := video.NewStream(video.Jackson(), 9).Take(24)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var outs []*filters.Output
-		for i := 0; i < len(frames); i += 2 {
-			outs = filters.EvaluateBatchInto(b, frames[i:i+2], outs[:0])
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("single-member submissions stalled on the coalesce deadline")
+	var outs []*filters.Output
+	for i := 0; i < len(frames); i += 2 {
+		outs = filters.EvaluateBatchInto(b, frames[i:i+2], outs[:0])
 	}
 	ms := br.Metrics()
-	if len(ms) != 1 || ms[0].Frames != 24 || ms[0].Merged != 0 {
+	if len(ms) != 1 || ms[0].Frames != 24 || ms[0].Batches != 12 || ms[0].Merged != 0 {
 		t.Fatalf("metrics after single-member run: %+v", ms)
 	}
 }
 
-// The size trigger must flush without waiting for the deadline.
+// Batch caps merging, it never splits a submission: a request wider than
+// the cap still runs whole, in one evaluation.
 func TestBrokerSizeTrigger(t *testing.T) {
-	br := New(Config{Batch: 4, Flush: time.Hour}) // deadline effectively disabled
-	b := br.Wrap(newTrained(t, 3))
-	frames := video.NewStream(video.Jackson(), 9).Take(4)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		filters.EvaluateBatch(b, frames)
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("size-triggered flush never happened")
+	counting := &countingCoalescable{Coalescable: newTrained(t, 3)}
+	br := New(Config{Batch: 4})
+	b := br.Wrap(counting)
+	frames := video.NewStream(video.Jackson(), 9).Take(6)
+	if outs := filters.EvaluateBatch(b, frames); len(outs) != 6 {
+		t.Fatalf("%d outputs, want 6", len(outs))
+	}
+	if counting.calls.Load() != 1 || counting.frames.Load() != 6 {
+		t.Fatalf("evaluator saw %d calls / %d frames, want 1 / 6", counting.calls.Load(), counting.frames.Load())
+	}
+	if ms := br.Metrics(); len(ms) != 1 || ms[0].MaxBatch != 6 {
+		t.Fatalf("metrics after an over-wide submission: %+v", ms)
 	}
 }
 
 // Different architectures must form different groups — their frames never
 // share a GEMM.
 func TestBrokerGroupsByArchitecture(t *testing.T) {
-	br := New(Config{Batch: 2, Flush: time.Millisecond})
+	br := New(Config{Batch: 2})
 	a := br.Wrap(newTrained(t, 1))
 	b := br.Wrap(newTrained(t, 2))
 	if len(br.Metrics()) != 2 {
@@ -240,7 +281,7 @@ func TestBrokerGroupsByArchitecture(t *testing.T) {
 func TestBrokerScatterOrderUnderLoad(t *testing.T) {
 	p := video.Jackson()
 	inner := newTrained(t, 5)
-	br := New(Config{Batch: 8, Flush: 200 * time.Microsecond})
+	br := New(Config{Batch: 8})
 	const workers = 6
 	backends := make([]filters.Backend, workers)
 	for i := range backends {
@@ -262,31 +303,60 @@ func TestBrokerScatterOrderUnderLoad(t *testing.T) {
 	wg.Wait()
 }
 
-// When a member leaves (its feed's source ended), remaining submitters
-// must stop deadline-waiting for it: a 2-member group degrades to the
-// synchronous single-member path after one Leave.
+// A departed member (its feed's source ended) no longer counts as live,
+// and the members still attached keep being served.
 func TestBrokerMemberLeave(t *testing.T) {
-	br := New(Config{Batch: 64, Flush: time.Hour}) // any deadline wait would hang
+	br := New(Config{Batch: 64})
 	a := br.Wrap(newTrained(t, 3))
 	b := br.Wrap(newTrained(t, 3))
 	b.(Member).Leave()
 	b.(Member).Leave() // idempotent
-	frames := video.NewStream(video.Jackson(), 9).Take(8)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for _, f := range frames {
-			a.Evaluate(f)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("submissions stalled waiting for a departed member")
+	for _, f := range video.NewStream(video.Jackson(), 9).Take(8) {
+		a.Evaluate(f)
 	}
 	ms := br.Metrics()
-	if len(ms) != 1 || ms[0].Members != 2 || ms[0].Live != 1 {
+	if len(ms) != 1 || ms[0].Members != 2 || ms[0].Live != 1 || ms[0].Frames != 8 {
 		t.Fatalf("metrics after leave: %+v", ms)
+	}
+}
+
+// Members leaving while a run is in flight — even every one of them —
+// must neither strand a request parked behind that run nor evaluate any
+// frame twice; the group abandoned mid-run is retired once it goes idle,
+// with every frame accounted.
+func TestBrokerLeaveDuringRun(t *testing.T) {
+	p := video.Jackson()
+	gate := newGate(newTrained(t, 3))
+	counting := &countingCoalescable{Coalescable: gate}
+	br := New(Config{Batch: 64})
+	a := br.Wrap(counting)
+	b := br.Wrap(newTrained(t, 3))
+	clipA := video.NewStream(p, 9).Take(2)
+	clipB := video.NewStream(p, 10).Take(3)
+
+	lead := submitAsync(a, clipA)
+	<-gate.entered
+	parked := parkBehindRun(t, b, clipB)
+	b.(Member).Leave()
+	a.(Member).Leave()
+	close(gate.release)
+
+	requireOutputs(t, 0, lead, filters.EvaluateBatch(newTrained(t, 3), clipA))
+	requireOutputs(t, 1, parked, filters.EvaluateBatch(newTrained(t, 3), clipB))
+	if calls, frames := counting.calls.Load(), counting.frames.Load(); calls != 2 || frames != 5 {
+		t.Fatalf("evaluator saw %d calls / %d frames, want 2 / 5", calls, frames)
+	}
+	for _, sh := range br.shards {
+		sh.mu.Lock()
+		active := len(sh.groups)
+		sh.mu.Unlock()
+		if active != 0 {
+			t.Fatalf("%d groups still held after every member left", active)
+		}
+	}
+	ms := br.Metrics()
+	if len(ms) != 1 || ms[0].Frames != 5 || ms[0].Batches != 2 || ms[0].Live != 0 {
+		t.Fatalf("metrics after an abandoned group's last run: %+v", ms)
 	}
 }
 
@@ -295,7 +365,7 @@ func TestBrokerMemberLeave(t *testing.T) {
 // collectable) while its counters stay visible, merged per key, in the
 // metrics snapshot.
 func TestBrokerRetiresAbandonedGroups(t *testing.T) {
-	br := New(Config{Batch: 4, Flush: time.Millisecond})
+	br := New(Config{Batch: 4})
 	for round := 0; round < 3; round++ {
 		b := br.Wrap(newTrained(t, 11)) // same key every round
 		b.Evaluate(video.NewStream(video.Jackson(), 9).Next())
@@ -333,90 +403,57 @@ func TestBrokerRetiresAbandonedGroups(t *testing.T) {
 	}
 }
 
-// armedPanicBackend panics on every evaluation while armed — the
-// crashing-model stand-in for the isolation test. Unarmed it delegates,
-// so warm-up submissions establish group membership normally.
-type armedPanicBackend struct {
-	filters.Coalescable
-	armed atomic.Bool
-}
-
-func (b *armedPanicBackend) EvaluateBatch(frames []*video.Frame, dst []*filters.Output) []*filters.Output {
-	if b.armed.Load() {
-		panic("injected batch fault")
-	}
-	return b.Coalescable.EvaluateBatch(frames, dst)
-}
-
-func (b *armedPanicBackend) Evaluate(f *video.Frame) *filters.Output {
-	var out [1]*filters.Output
-	return b.EvaluateBatch([]*video.Frame{f}, out[:0])[0]
-}
-
-// A member whose evaluation panics mid-batch must not take down its
-// coalesce group: the healthy group-mate still gets outputs bit-identical
-// to a standalone evaluation, only the faulting submitter observes the
-// panic, and the group keeps serving afterwards.
+// A member whose evaluation panics must not take down its coalesce group:
+// a poisoned merged run still resolves every request it took, healthy
+// group-mates get outputs bit-identical to a standalone evaluation, only
+// the faulting submitter observes the panic — and, although that
+// submitter was leading the run, the request parked behind it is still
+// promoted and the group keeps serving afterwards.
 func TestBrokerIsolatesPanickingMember(t *testing.T) {
 	p := video.Jackson()
-	bad := &armedPanicBackend{Coalescable: newTrained(t, 7)}
-	br := New(Config{Batch: 1 << 20, Flush: 30 * time.Millisecond})
+	bad := newGate(newTrained(t, 7))
+	br := New(Config{Batch: 8})
 	// Wrapped first: the faulting backend becomes the group evaluator, so
 	// the merged batch itself panics and the broker must fall back to
 	// per-submitter isolation.
 	badProxy := br.Wrap(bad)
-	goodProxy := br.Wrap(newTrained(t, 7))
+	first, good, next := br.Wrap(newTrained(t, 7)), br.Wrap(newTrained(t, 7)), br.Wrap(newTrained(t, 7))
+	clips := make([][]*video.Frame, 4)
+	for i, n := range []int{1, 4, 4, 2} {
+		clips[i] = video.NewStream(p, uint64(11+i)).Take(n)
+	}
+	want := func(i int) []*filters.Output { return filters.EvaluateBatch(newTrained(t, 7), clips[i]) }
 
-	clipBad := video.NewStream(p, 11).Take(4)
-	clipGood := video.NewStream(p, 12).Take(4)
-	want := filters.EvaluateBatch(newTrained(t, 7), clipGood)
+	lead := submitAsync(first, clips[0])
+	<-bad.entered
+	faulting := parkBehindRun(t, badProxy, clips[1]) // leads the poisoned run
+	healthy := parkBehindRun(t, good, clips[2])      // merged into it: 4+4 fills the cap
+	behind := parkBehindRun(t, next, clips[3])       // left for the run after
 
-	// Warm-up, unarmed: both proxies take membership so the armed round
-	// coalesces instead of running the lone-member fast path.
-	filters.EvaluateBatchInto(badProxy, clipBad[:1], nil)
-	filters.EvaluateBatchInto(goodProxy, clipGood[:1], nil)
+	bad.release <- struct{}{}
+	requireOutputs(t, 0, lead, want(0))
+	if w := <-bad.entered; w != 8 {
+		t.Fatalf("merged run evaluated %d frames, want 8", w)
+	}
+	bad.fault.Store(true)
+	close(bad.release)
 
-	bad.armed.Store(true)
-	var (
-		wg          sync.WaitGroup
-		badPanicked atomic.Bool
-		got         []*filters.Output
-	)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		defer func() {
-			if recover() != nil {
-				badPanicked.Store(true)
-			}
-		}()
-		filters.EvaluateBatchInto(badProxy, clipBad, nil)
-	}()
-	go func() {
-		defer wg.Done()
-		got = filters.EvaluateBatchInto(goodProxy, clipGood, nil)
-	}()
-	wg.Wait()
-
-	if !badPanicked.Load() {
+	<-faulting.done
+	if faulting.panicked == nil {
 		t.Fatal("faulting member's submitter never observed its panic")
 	}
-	if len(got) != len(clipGood) {
-		t.Fatalf("healthy member got %d outputs, want %d", len(got), len(clipGood))
-	}
-	for j := range got {
-		requireSameOutput(t, 1, j, got[j], want[j])
-	}
+	requireOutputs(t, 2, healthy, want(2))
+	// The evaluator is still armed, so the promoted request's own run is
+	// poisoned too and resolves through its submitter's healthy backend.
+	requireOutputs(t, 3, behind, want(3))
 
-	// The group survives the fault: the healthy member keeps evaluating
-	// (through the disarmed group evaluator) with identical results.
-	bad.armed.Store(false)
-	again := filters.EvaluateBatchInto(goodProxy, clipGood, nil)
-	if len(again) != len(want) {
-		t.Fatalf("post-fault evaluation got %d outputs, want %d", len(again), len(want))
-	}
-	for j := range again {
-		requireSameOutput(t, 1, j, again[j], want[j])
+	// The group survives the fault: with the evaluator disarmed, members
+	// keep evaluating through it with identical results.
+	bad.fault.Store(false)
+	requireOutputs(t, 2, submitAsync(good, clips[2]), want(2))
+	ms := br.Metrics()
+	if len(ms) != 1 || ms[0].Batches != 4 || ms[0].Frames != 15 || ms[0].Merged != 1 {
+		t.Fatalf("metrics after the fault: %+v", ms)
 	}
 }
 
@@ -435,8 +472,8 @@ func (p *parallelRecorder) SetEvalWorkers(n int) {
 	p.Trained.SetEvalWorkers(n)
 }
 
-// A configured Workers budget must be applied only to flushes whose
-// estimated GEMM work clears ParallelFlops; smaller flushes pin the
+// A configured Workers budget must be applied only to runs whose
+// estimated GEMM work clears ParallelFlops; smaller runs pin the
 // evaluator to one core. With no Workers configured the broker must not
 // touch the evaluator's worker setting at all.
 func TestBrokerRoutesFlushesThroughWorkerBudget(t *testing.T) {
@@ -447,7 +484,7 @@ func TestBrokerRoutesFlushesThroughWorkerBudget(t *testing.T) {
 	}
 	var asked atomic.Int64
 	br := New(Config{
-		Batch: 64, Flush: time.Hour, Shards: 3,
+		Batch: 64, Shards: 3,
 		ParallelFlops: 4 * perFrame, // 4+ frames fan out, fewer stay serial
 		Workers: func(distinct int) int {
 			asked.Add(1)
@@ -459,8 +496,8 @@ func TestBrokerRoutesFlushesThroughWorkerBudget(t *testing.T) {
 	})
 	bk := br.Wrap(rec)
 	frames := video.NewStream(video.Jackson(), 5).Take(8)
-	// Single member: the sync fast path evaluates immediately, making the
-	// flush boundaries deterministic.
+	// Sequential submissions each find the evaluator idle, so every one
+	// is its own run.
 	filters.EvaluateBatch(bk, frames)     // 8 frames ≥ threshold → budget
 	filters.EvaluateBatch(bk, frames[:2]) // 2 frames < threshold → 1 worker
 	rec.mu.Lock()
@@ -475,7 +512,7 @@ func TestBrokerRoutesFlushesThroughWorkerBudget(t *testing.T) {
 
 	// No Workers configured: the evaluator's setting must stay untouched.
 	rec2 := &parallelRecorder{Trained: newTrained(t, 22)}
-	br2 := New(Config{Batch: 64, Flush: time.Hour})
+	br2 := New(Config{Batch: 64})
 	filters.EvaluateBatch(br2.Wrap(rec2), frames)
 	rec2.mu.Lock()
 	defer rec2.mu.Unlock()
@@ -484,14 +521,14 @@ func TestBrokerRoutesFlushesThroughWorkerBudget(t *testing.T) {
 	}
 }
 
-// Feeds joining and draining across shards while deadline flushes run:
-// the sharded broker's bookkeeping (join, flush, leave, retire, metrics
+// Feeds joining and draining across shards while merged runs execute:
+// the sharded broker's bookkeeping (join, run, leave, retire, metrics
 // folds) must stay race-free and account for every frame exactly once.
 // Run under -race this is the churn proof for the shard split.
 func TestBrokerShardChurn(t *testing.T) {
 	p := video.Jackson()
 	const arches, workers, rounds, perFeed = 5, 8, 6, 24
-	br := New(Config{Batch: 6, Flush: 200 * time.Microsecond, Shards: 4})
+	br := New(Config{Batch: 6, Shards: 4})
 
 	stop := make(chan struct{})
 	var snapshots sync.WaitGroup

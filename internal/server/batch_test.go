@@ -2,6 +2,7 @@ package server
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -146,7 +147,7 @@ func TestServerOrderSensitiveDetectorNotShared(t *testing.T) {
 // Micro-batching must not change any query's results: the same fleet over
 // the same recording with batching on (default), off (ScanBatch 1), and
 // with a trained backend, yields identical events; and a paced feed's
-// batcher flushes on the deadline instead of waiting for a full batch.
+// batcher closes its batches early instead of waiting for a full one.
 func TestServerScanBatchEquivalenceAndPacedFlush(t *testing.T) {
 	p := video.Jackson()
 	const n = 256
@@ -207,10 +208,10 @@ func TestServerScanBatchEquivalenceAndPacedFlush(t *testing.T) {
 	trainedUnbatched := run(Config{ScanBatch: 1}, filters.NewUntrained(filters.OD, p, tcfg, nil))
 	requireSameEvents("trained", trainedBatched, trainedUnbatched)
 
-	// Paced feed: frames arrive ~1ms apart with a 500µs flush deadline, so
-	// batches must flush small instead of stalling the pipeline for 16
-	// frames; the events still match an unpaced run.
-	srv := New(Config{ScanFlush: 500 * time.Microsecond})
+	// Paced feed: frames arrive ~1ms apart, so batches must close small
+	// instead of stalling the pipeline for 16 frames; the events still
+	// match an unpaced run.
+	srv := New(Config{})
 	if err := srv.AddFeed(FeedConfig{
 		Name: p.Name, Profile: p,
 		Source:        &stream.SliceSource{Frames: frames[:64]},
@@ -235,7 +236,7 @@ func TestServerScanBatchEquivalenceAndPacedFlush(t *testing.T) {
 		t.Fatal("paced feed produced no batches")
 	}
 	if fm.ScanAvgBatch > 8 {
-		t.Fatalf("paced feed batches average %.1f frames — deadline flush not working", fm.ScanAvgBatch)
+		t.Fatalf("paced feed batches average %.1f frames — batches are waiting for batch-mates", fm.ScanAvgBatch)
 	}
 	// Sanity: the paced run still produced the standalone-identical match
 	// set for its prefix.
@@ -248,6 +249,137 @@ func TestServerScanBatchEquivalenceAndPacedFlush(t *testing.T) {
 	for i, ev := range evs {
 		if ev.Seq != want.Matched[i] {
 			t.Fatalf("paced match %d at seq %d, want %d", i, ev.Seq, want.Matched[i])
+		}
+	}
+}
+
+// chanSource yields the frames a test sends it, one at a time, and ends
+// when the channel closes.
+type chanSource chan *video.Frame
+
+func (c chanSource) Next() (*video.Frame, bool) {
+	f, ok := <-c
+	return f, ok
+}
+
+// gatedBackend is a trained filter backend whose batch evaluations park
+// until the test lets them through. entered reports each evaluation's
+// width as it starts; one token on release (or closing it) lets one
+// evaluation (or all of them) finish; frames counts finished evaluations'
+// frames. It stays coalescable, so the broker wraps it like its inner
+// backend.
+type gatedBackend struct {
+	filters.Coalescable
+	entered chan int
+	release chan struct{}
+	frames  atomic.Int64
+}
+
+func newGatedBackend(inner filters.Coalescable) *gatedBackend {
+	// entered is sized past any test's evaluation count so the backend
+	// never blocks on a test that has stopped reading it.
+	return &gatedBackend{Coalescable: inner, entered: make(chan int, 64), release: make(chan struct{})}
+}
+
+func (g *gatedBackend) EvaluateBatch(frames []*video.Frame, dst []*filters.Output) []*filters.Output {
+	g.entered <- len(frames)
+	<-g.release
+	dst = g.Coalescable.EvaluateBatch(frames, dst)
+	g.frames.Add(int64(len(frames)))
+	return dst
+}
+
+func (g *gatedBackend) Evaluate(f *video.Frame) *filters.Output {
+	var out [1]*filters.Output
+	return g.EvaluateBatch([]*video.Frame{f}, out[:0])[0]
+}
+
+// The scan batcher's closing rule, step by step against a gated memo
+// backend: a lone frame is dispatched at once while no second frame
+// exists; with both warm-up slots busy the next batch keeps growing to
+// the cap and no further; it closes the moment a slot frees; and end of
+// stream is reported only after every warm-up has landed.
+func TestScanBatcherClosesWhenEvaluatorFree(t *testing.T) {
+	p := video.Jackson()
+	const size = 16
+	const total = 2 + 2*size + 1
+	clip := video.NewStream(p, 33).Take(total)
+	gate := newGatedBackend(filters.NewUntrained(filters.OD, p, filters.TrainedConfig{Img: 16, Channels: 8, Seed: 33}, nil))
+	src := make(chanSource)
+	b := newScanBatcher(src, filters.NewShared(gate, 4096), func() bool { return true }, size)
+	defer b.shutdown()
+	next := func(want int) {
+		t.Helper()
+		if f, ok := b.Next(); !ok || f != clip[want] {
+			t.Fatalf("Next = %v, %v; want frame %d", f, ok, want)
+		}
+	}
+
+	// An idle evaluator: each lone frame is its own batch, dispatched
+	// while the source holds nothing else. The first warm-up starts (and
+	// parks in the gate); the second waits its turn in the other slot.
+	go func() { src <- clip[0] }() // the puller starts on the first Next
+	next(0)
+	if w := <-gate.entered; w != 1 {
+		t.Fatalf("first warm-up evaluated %d frames, want 1", w)
+	}
+	src <- clip[1]
+	next(1)
+	if got := b.batches.Load(); got != 2 {
+		t.Fatalf("%d batches closed for two lone frames, want 2", got)
+	}
+
+	// Both slots busy: the pump blocks collecting the third batch. The
+	// source takes size+size+1 more frames only once the batch holds its
+	// cap of size, the look-ahead channel size, and the puller one.
+	pumped := make(chan *video.Frame)
+	go func() {
+		defer close(pumped)
+		for {
+			f, ok := b.Next()
+			if !ok {
+				return
+			}
+			pumped <- f
+		}
+	}()
+	for _, f := range clip[2:] {
+		src <- f
+	}
+	if got := b.batches.Load(); got != 2 {
+		t.Fatalf("a batch closed with no warm-up slot free (%d batches)", got)
+	}
+
+	// One slot frees: the waiting batch closes at once, at the cap.
+	gate.release <- struct{}{}
+	for i := 2; i < 2+size; i++ {
+		if f := <-pumped; f != clip[i] {
+			t.Fatalf("pumped frame %d out of order", i)
+		}
+	}
+	if got, frames := b.batches.Load(), b.framesN.Load(); got != 3 || frames != 2+size {
+		t.Fatalf("after one slot freed: %d batches over %d frames, want 3 over %d", got, frames, 2+size)
+	}
+
+	// End of stream: EOF must not surface before every queued warm-up has
+	// been evaluated.
+	close(gate.release)
+	close(src)
+	for i := 2 + size; i < total; i++ {
+		if f := <-pumped; f != clip[i] {
+			t.Fatalf("pumped frame %d out of order", i)
+		}
+	}
+	if _, open := <-pumped; open {
+		t.Fatal("frames past the end of the source")
+	}
+	if got := gate.frames.Load(); got != total {
+		t.Fatalf("EOF surfaced with %d of %d frames warmed", got, total)
+	}
+	// The first width was read above.
+	for _, want := range []int{1, size, size, 1} {
+		if w := <-gate.entered; w != want {
+			t.Fatalf("warm-up evaluated %d frames, want %d", w, want)
 		}
 	}
 }

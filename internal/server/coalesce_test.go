@@ -1,6 +1,7 @@
 package server
 
 import (
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -158,18 +159,15 @@ func TestServerCoalesceIsolatesArchitectures(t *testing.T) {
 }
 
 // A paced feed under coalescing must still deliver matches promptly — the
-// broker's deadline flushes partial batches instead of stalling for
-// cross-feed batch-mates that never come — and stay result-identical to a
+// broker runs partial batches instead of stalling for cross-feed
+// batch-mates that never come — and stay result-identical to a
 // standalone run of the same clip.
 func TestServerCoalescePacedDeadlineFlush(t *testing.T) {
 	p := video.Jackson()
 	const n = 48
 	frames := video.NewStream(p, 91).Take(n)
 	tcfg := filters.TrainedConfig{Img: 16, Channels: 8, Seed: 91}
-	srv := New(Config{
-		ScanFlush:     500 * time.Microsecond,
-		CoalesceFlush: 500 * time.Microsecond,
-	})
+	srv := New(Config{})
 	if err := srv.AddFeed(FeedConfig{
 		Name: p.Name, Profile: p,
 		Source:        &stream.SliceSource{Frames: frames},
@@ -192,10 +190,10 @@ func TestServerCoalescePacedDeadlineFlush(t *testing.T) {
 	if len(m.Coalesce) != 1 || m.Coalesce[0].Frames != n {
 		t.Fatalf("coalesce metrics %+v: want one group covering all %d frames", m.Coalesce, n)
 	}
-	// Sparse and paced: flushes must be deadline-driven small batches, not
-	// size-trigger stalls.
+	// Sparse and paced: runs must be small batches, not stalls for a full
+	// one.
 	if g := m.Coalesce[0]; g.AvgBatch > 8 {
-		t.Fatalf("paced feed coalesced batches average %.1f frames — deadline flush not working", g.AvgBatch)
+		t.Fatalf("paced feed coalesced batches average %.1f frames — runs are waiting for batch-mates", g.AvgBatch)
 	}
 	eng := &query.Engine{
 		Backend:  filters.NewUntrained(filters.OD, p, tcfg, nil),
@@ -259,5 +257,128 @@ func TestServerOverrideBackendChurnReleases(t *testing.T) {
 	}
 	if g := m.Coalesce[0]; g.Members != churn || g.Live != 0 {
 		t.Fatalf("group %+v: want %d total members, 0 live after churn", g, churn)
+	}
+}
+
+// One frame published to an idle push feed must produce its match event
+// while no second frame exists: neither the scan batcher nor the broker —
+// whose group here has a second, silent member — may hold it for
+// batch-mates. The network saw exactly one batch of one.
+func TestServerCoalesceLoneFrameMatchesAtOnce(t *testing.T) {
+	p := video.Jackson()
+	tcfg := filters.TrainedConfig{Img: 16, Channels: 8, Seed: 91}
+	rec := newGatedBackend(filters.NewUntrained(filters.OD, p, tcfg, nil))
+	close(rec.release) // only the evaluation widths are of interest here
+	push := stream.NewPushSource(8, stream.PushBlock)
+	srv := New(Config{})
+	defer srv.Close()
+	for _, fc := range []FeedConfig{
+		{Name: "cam", Profile: p, Source: push, Backend: rec},
+		{Name: "silent", Profile: p, Source: stream.NewPushSource(8, stream.PushBlock),
+			Backend: filters.NewUntrained(filters.OD, p, tcfg, nil)},
+	} {
+		if err := srv.CreateFeed(fc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg, err := srv.Register(parse(t, `SELECT FRAMES FROM cam WHERE COUNT(car) >= 0`), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Register(parse(t, `SELECT FRAMES FROM silent WHERE COUNT(car) >= 0`), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	frame := video.NewStream(p, 5).Next()
+	if err := push.Publish(frame, nil); err != nil {
+		t.Fatal(err)
+	}
+	if ev := <-reg.Results(); ev.Kind != EventMatch || ev.FrameIndex != frame.Index {
+		t.Fatalf("first event %+v, want the match for frame %d", ev, frame.Index)
+	}
+	if n := len(rec.entered); n != 1 {
+		t.Fatalf("network ran %d evaluations for one frame, want 1", n)
+	}
+	if w := <-rec.entered; w != 1 {
+		t.Fatalf("network evaluated a batch of %d, want a batch of one", w)
+	}
+	m := srv.Metrics()
+	if g := m.Coalesce; len(g) != 1 || g[0].Members != 2 || g[0].Batches != 1 || g[0].Frames != 1 {
+		t.Fatalf("coalesce metrics %+v: want one 2-member group with one batch of one", g)
+	}
+	for _, fm := range m.Feeds {
+		if fm.Name == "cam" && (fm.ScanBatches != 1 || fm.ScanAvgBatch != 1) {
+			t.Fatalf("scan closed %d batches averaging %.1f frames, want one batch of one", fm.ScanBatches, fm.ScanAvgBatch)
+		}
+	}
+}
+
+// Closing batches on an idle evaluator must not narrow them when there is
+// a backlog: eight backlogged feeds on one architecture still fill their
+// scan batches and still merge into coalesced runs near the cap, because
+// frames accumulate exactly while the evaluator is busy.
+func TestServerCoalesceBackloggedFeedsFillBatches(t *testing.T) {
+	base := video.Jackson()
+	const nFeeds, nFrames = 8, 512
+	clips := make([][]*video.Frame, nFeeds)
+	for i := range clips {
+		clips[i] = video.NewStream(base, uint64(40+i)).Take(nFrames)
+	}
+	cfg := Config{}.withDefaults()
+	_, m := coalesceFleet(t, Config{}, filters.TrainedConfig{Img: 16, Channels: 8, Seed: 33}, clips, 1)
+	for _, fm := range m.Feeds {
+		if fm.ScanAvgBatch < float64(cfg.ScanBatch-1) {
+			t.Fatalf("feed %s: backlogged scan batches average %.2f frames of %d", fm.Name, fm.ScanAvgBatch, cfg.ScanBatch)
+		}
+	}
+	if len(m.Coalesce) != 1 {
+		t.Fatalf("identical architectures must form one group, got %+v", m.Coalesce)
+	}
+	g := m.Coalesce[0]
+	if g.Frames != nFeeds*nFrames || g.Merged == 0 {
+		t.Fatalf("group %+v: want all %d frames and merged runs", g, nFeeds*nFrames)
+	}
+	if g.AvgBatch < float64(cfg.CoalesceBatch)*3/4 || g.MaxBatch > cfg.CoalesceBatch {
+		t.Fatalf("group %+v: backlogged runs should sit near the cap of %d and never pass it", g, cfg.CoalesceBatch)
+	}
+}
+
+// End of stream must wait for in-flight memo warm-ups before the feed
+// releases its broker attachment: a warm-up still evaluating afterwards
+// would land in a retired group and its frames vanish from the metrics.
+func TestServerCoalesceEOFWaitsForWarmUps(t *testing.T) {
+	p := video.Jackson()
+	const n = 3
+	held := newGatedBackend(filters.NewUntrained(filters.OD, p, filters.TrainedConfig{Img: 16, Channels: 8, Seed: 91}, nil))
+	srv := New(Config{})
+	defer srv.Close()
+	if err := srv.AddFeed(FeedConfig{
+		Name: p.Name, Profile: p,
+		Source:  &stream.SliceSource{Frames: video.NewStream(p, 91).Take(n)},
+		Backend: held,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	reg, err := srv.Register(parse(t, `SELECT FRAMES FROM jackson WHERE COUNT(car) >= 0`), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	<-held.entered
+	// The source is long exhausted; give the pump every chance to reach
+	// end of stream while the evaluation is still parked.
+	for i := 0; i < 1000; i++ {
+		runtime.Gosched()
+	}
+	during := srv.Metrics().Coalesce
+	close(held.release)
+	if len(during) != 1 || during[0].Live != 1 {
+		t.Fatalf("coalesce metrics %+v: the feed must stay attached while its warm-up is in flight", during)
+	}
+	if evs, _, sawEnd := drain(reg); !sawEnd || len(evs) != n {
+		t.Fatalf("drained %d matches (end %v), want %d", len(evs), sawEnd, n)
+	}
+	if g := srv.Metrics().Coalesce; len(g) != 1 || g[0].Live != 0 || g[0].Frames != n {
+		t.Fatalf("coalesce metrics %+v: want the ended feed detached with all %d frames accounted", g, n)
 	}
 }

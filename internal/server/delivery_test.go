@@ -56,7 +56,9 @@ func runFleet(t *testing.T, cfg Config, backend filters.Backend, frames []*video
 // same fleet over the same clip under block (the lossless pre-log
 // contract), drop-oldest and sample-under-pressure yields identical
 // event streams when consumers drain promptly — the policies differ only
-// under pressure. Checked for a calibrated and a trained backend.
+// under pressure. Checked for a calibrated and a trained backend. Every
+// ring holds the whole clip's events, so "keeping up" does not depend on
+// the scheduler running a draining goroutine during the clip's burst.
 func TestServerPolicyEquivalenceWhenDraining(t *testing.T) {
 	p := video.Jackson()
 	const n, nQueries = 256, 3
@@ -86,9 +88,12 @@ func TestServerPolicyEquivalenceWhenDraining(t *testing.T) {
 		},
 	}
 	for label, mk := range backends {
-		block := runFleet(t, Config{}, mk(), frames, src, nQueries, Options{Policy: rlog.Block})
-		drop := runFleet(t, Config{}, mk(), frames, src, nQueries, Options{Policy: rlog.DropOldest})
-		sample := runFleet(t, Config{}, mk(), frames, src, nQueries, Options{Policy: rlog.Sample})
+		// At most n matches plus the end event — under half the ring, where
+		// Sample would start to decimate.
+		const ring = 4 * n
+		block := runFleet(t, Config{}, mk(), frames, src, nQueries, Options{Policy: rlog.Block, ResultBuffer: ring})
+		drop := runFleet(t, Config{}, mk(), frames, src, nQueries, Options{Policy: rlog.DropOldest, ResultBuffer: ring})
+		sample := runFleet(t, Config{}, mk(), frames, src, nQueries, Options{Policy: rlog.Sample, ResultBuffer: ring})
 		requireSame(label+"/drop-oldest", drop, block)
 		requireSame(label+"/sample", sample, block)
 	}

@@ -164,7 +164,7 @@ func (f *feed) stalledNow(window time.Duration) (int64, bool) {
 // drain cuts the feed's ingestion while letting everything already in
 // flight — ingest-ring frames, scan batches, memo warm-ups, fan-out
 // buffers — flow to the registered queries, which then end through the
-// ordinary source-EOF path: the batcher flushes its partial batch, the
+// ordinary source-EOF path: the batcher dispatches its partial batch, the
 // EOF notifier releases the feed's broker memberships, the fan-out
 // closes every subscription, and each runner emits its end event carrying
 // reason. Reports whether this call initiated the drain (false when the
@@ -220,9 +220,9 @@ func newSharedEntry(sh *filters.Shared, wrapped filters.Backend) *sharedEntry {
 	return e
 }
 
-// leaveBroker releases every broker membership this feed holds, so other
-// feeds' coalesced flushes stop deadline-waiting for a feed that will
-// never submit again. Idempotent (Member.Leave is once-only).
+// leaveBroker releases every broker membership this feed holds, so a
+// coalesce group whose feeds have all gone is retired. Idempotent
+// (Member.Leave is once-only).
 func (f *feed) leaveBroker() {
 	f.mu.Lock()
 	var leavers []sched.Member
@@ -239,7 +239,6 @@ func (f *feed) leaveBroker() {
 
 func newFeed(cfg FeedConfig, srv Config, broker *sched.Broker) (*feed, error) {
 	fanoutBuffer, cacheCap := srv.FanoutBuffer, srv.SharedCacheCap
-	scanBatch, scanFlush := srv.ScanBatch, srv.ScanFlush
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("server: feed needs a name")
 	}
@@ -289,22 +288,13 @@ func newFeed(cfg FeedConfig, srv Config, broker *sched.Broker) (*feed, error) {
 	f.shared[backend] = newSharedEntry(f.deflt, wrapped)
 
 	// Micro-batch the shared scan: frames flow source -> batcher ->
-	// fan-out, and each flushed batch pre-fills the default memo through
+	// fan-out, and each closed batch pre-fills the default memo through
 	// the backend's batch path (one clock transaction, batched GEMMs for
 	// trained backends), so every query's ChunkSize=1 low-latency pipeline
 	// hits a warm cache.
-	if scanBatch > 1 {
-		f.batcher = &scanBatcher{
-			src:     src,
-			warm:    f.deflt,
-			active:  func() bool { return f.defaultUsers.Load() > 0 },
-			size:    scanBatch,
-			flush:   scanFlush,
-			raw:     make(chan *video.Frame, scanBatch),
-			stop:    make(chan struct{}),
-			drainC:  make(chan struct{}),
-			warmSem: make(chan struct{}, 2),
-		}
+	if srv.ScanBatch > 1 {
+		f.batcher = newScanBatcher(src, f.deflt,
+			func() bool { return f.defaultUsers.Load() > 0 }, srv.ScanBatch)
 		src = f.batcher
 	} else {
 		// No batcher to drain at: give drain a gate that cuts the source
@@ -316,8 +306,7 @@ func newFeed(cfg FeedConfig, srv Config, broker *sched.Broker) (*feed, error) {
 	// notifier (a feed that ended is closed, not stalled).
 	src = &stampSource{src: src, last: &f.lastFrame}
 	// A bounded feed that drains releases its broker memberships the
-	// moment its source ends, so feeds still running stop spending the
-	// coalesce deadline waiting for submissions it will never make.
+	// moment its source ends, so a group nobody feeds any more is retired.
 	src = &eofNotifySource{src: src, fire: f.leaveBroker}
 	f.fanout = stream.NewFanout(src, fanoutBuffer)
 
@@ -452,12 +441,13 @@ func (g *drainGate) Next() (*video.Frame, bool) {
 func (g *drainGate) cut() { g.closed.Store(true) }
 
 // scanBatcher is the micro-batching stage between a feed's source and its
-// fan-out: frames are grouped into batches of up to size frames, flushed
-// early when the flush deadline expires, and each flushed batch pre-fills
-// the default shared filter memo in one batch evaluation. Added latency
-// per frame is bounded by flush (a paced camera frame waits at most flush
-// before dispatch, preserving the server's match-the-moment-it-happens
-// contract); a backlogged source fills whole batches with no waiting.
+// fan-out: frames are grouped into batches of up to size frames, and each
+// batch pre-fills the default shared filter memo in one batch evaluation.
+// A batch closes the moment a memo warm-up can start on it: a frame never
+// waits for batch-mates, only for a free warm-up slot, so an idle feed
+// dispatches a lone frame at once (preserving the server's
+// match-the-moment-it-happens contract) while a backlogged one fills whole
+// batches, because frames accumulate exactly while the evaluator is busy.
 //
 // The batcher is pull-driven: its source puller starts on the fan-out's
 // first read, so a bounded recording still does not drain before the
@@ -467,14 +457,13 @@ type scanBatcher struct {
 	warm   *filters.Shared
 	active func() bool // whether any registration reads the default memo
 	size   int
-	flush  time.Duration
 
 	start sync.Once
 	raw   chan *video.Frame
 	stop  chan struct{}
 	stopO sync.Once
 	// drainC ends the puller without cutting frames already pulled: the
-	// raw channel closes, fill flushes the partial batch, and EOF
+	// raw channel closes, fill dispatches the partial batch, and EOF
 	// propagates downstream — a graceful drain, where stop is the hard
 	// shutdown that also abandons buffered frames.
 	drainC chan struct{}
@@ -482,26 +471,46 @@ type scanBatcher struct {
 
 	cur []*video.Frame
 	idx int
-	// warmWG tracks fire-and-forget memo warm-ups. EOF waits for them:
-	// the frames-exhausted signal is what releases the feed's broker
-	// membership, and a warm-up still submitting after that would
-	// evaluate into a retired group whose counters are no longer
-	// visible. Add and Wait both run on the pump goroutine. warmSem
-	// bounds how many warm-ups run at once — when EvaluateBatch falls
-	// behind the pump, acquiring a slot blocks the pump at a fixed
-	// pipeline depth instead of accumulating goroutines and batch
-	// copies without limit (see fill for why blocking, not skipping).
-	warmWG  sync.WaitGroup
-	warmSem chan struct{}
+	// Memo warm-ups run on one long-lived worker. warmFree holds the two
+	// batch slices they travel in and is thereby the semaphore bounding
+	// the look-ahead: when EvaluateBatch falls behind the pump, taking a
+	// slice blocks the pump at a fixed pipeline depth (see fill for why
+	// blocking, not skipping). warmQ carries filled slices to the worker.
+	// EOF closes warmQ and waits on warmDone: the frames-exhausted signal
+	// is what releases the feed's broker attachment, and a warm-up still
+	// submitting after that would evaluate into a retired group whose
+	// counters are no longer visible.
+	warmFree chan []*video.Frame
+	warmQ    chan []*video.Frame
+	warmDone chan struct{}
 
 	batches atomic.Int64
 	framesN atomic.Int64
 }
 
+func newScanBatcher(src stream.Source, warm *filters.Shared, active func() bool, size int) *scanBatcher {
+	s := &scanBatcher{
+		src: src, warm: warm, active: active, size: size,
+		raw:      make(chan *video.Frame, size),
+		stop:     make(chan struct{}),
+		drainC:   make(chan struct{}),
+		warmFree: make(chan []*video.Frame, 2),
+		warmQ:    make(chan []*video.Frame, 2), // every slice of warmFree fits: sends never block
+		warmDone: make(chan struct{}),
+	}
+	for i := 0; i < cap(s.warmFree); i++ {
+		s.warmFree <- make([]*video.Frame, 0, size)
+	}
+	return s
+}
+
 // Next implements stream.Source for the fan-out pump. It is called from
 // the single pump goroutine only.
 func (s *scanBatcher) Next() (*video.Frame, bool) {
-	s.start.Do(func() { go s.pull() })
+	s.start.Do(func() {
+		go s.pull()
+		go s.warmLoop()
+	})
 	if s.idx >= len(s.cur) {
 		if !s.fill() {
 			return nil, false
@@ -512,72 +521,98 @@ func (s *scanBatcher) Next() (*video.Frame, bool) {
 	return f, true
 }
 
-// fill collects the next micro-batch: it blocks for the first frame, then
-// gathers more until the batch is full or the flush deadline passes, and
-// warms the shared memo with one batch evaluation.
+// fill collects the next micro-batch: it blocks for the first frame, adds
+// whatever the puller has already queued, and closes the batch as soon as
+// a warm-up slot is free — at once when nobody reads the default memo.
 func (s *scanBatcher) fill() bool {
 	f, ok := <-s.raw
 	if !ok {
-		s.warmWG.Wait() // let in-flight warm-ups land before EOF propagates
+		// Let queued and in-flight warm-ups land before EOF propagates.
+		close(s.warmQ)
+		<-s.warmDone
 		return false
 	}
 	s.cur = append(s.cur[:0], f)
-	timer := time.NewTimer(s.flush)
-collect:
-	for len(s.cur) < s.size {
+	// Warm the memo fire-and-forget: the batch claims its frames' memo
+	// entries in one inner batch evaluation while the pump is already
+	// dispatching them downstream, overlapping decode and fan-out with an
+	// evaluation that may be parked behind other feeds' coalesced run.
+	// Queries that reach a frame first simply claim it themselves (memo
+	// entries are exactly-once) and everyone else blocks on the entry's
+	// ready channel, so results and shared-scan economy are unchanged —
+	// only the pump stops stalling. Skipping the warm-up instead of
+	// blocking for a slot is not safe: a batch left for queries to claim
+	// after the feed's EOF releases its broker attachment would evaluate
+	// into a retired group and vanish from the metrics. Only shutdown
+	// forgoes it.
+	free := s.warmFree
+	if !s.active() {
+		free = nil
+	}
+	raw := s.raw
+	var batch []*video.Frame
+	for {
+		for len(s.cur) < s.size && len(raw) > 0 {
+			s.cur = append(s.cur, <-raw)
+		}
+		if free == nil {
+			break
+		}
+		// Both slots busy: the batch keeps growing for as long as the
+		// evaluator keeps it waiting.
+		more := raw
+		if len(s.cur) == s.size {
+			more = nil
+		}
 		select {
-		case f, ok := <-s.raw:
-			if !ok {
-				break collect
+		case batch = <-free:
+			free = nil
+		case f, ok := <-more:
+			if ok {
+				s.cur = append(s.cur, f)
+			} else {
+				raw = nil // source ended; the next fill reports it
 			}
-			s.cur = append(s.cur, f)
-		case <-timer.C:
-			break collect
+		case <-s.stop:
+			free = nil
 		}
 	}
-	timer.Stop()
 	s.idx = 0
 	s.batches.Add(1)
 	s.framesN.Add(int64(len(s.cur)))
-	if s.warm != nil && s.active() {
-		// Warm the memo fire-and-forget: the batch claims its frames'
-		// memo entries in one inner batch evaluation while the pump is
-		// already dispatching them downstream, overlapping decode and
-		// fan-out with a flush that may be waiting on coalesced
-		// batch-mates from other feeds. Queries that reach a frame first
-		// simply claim it themselves (memo entries are exactly-once) and
-		// everyone else blocks on the entry's ready channel, so results
-		// and shared-scan economy are unchanged — only the pump stops
-		// stalling. The goroutine owns its own copy of the batch (s.cur
-		// is reused). warmSem bounds the look-ahead: when EvaluateBatch
-		// falls behind the pump, acquiring a slot blocks, restoring
-		// backpressure at a fixed pipeline depth instead of accumulating
-		// goroutines and batch copies without limit. Skipping instead of
-		// blocking is not safe here: a batch left for queries to claim
-		// after the feed's EOF releases its broker membership would
-		// evaluate into a retired group and vanish from the metrics.
-		// On shutdown the stop branch forgoes the warm-up.
-		select {
-		case s.warmSem <- struct{}{}:
-			batch := make([]*video.Frame, len(s.cur))
-			copy(batch, s.cur)
-			s.warmWG.Add(1)
-			go func() {
-				defer func() {
-					// A panicking backend must not take the process down
-					// from a fire-and-forget warm-up; queries that claim
-					// the frames themselves hit the same panic behind the
-					// executor's own barrier and fail individually.
-					_ = recover()
-					<-s.warmSem
-					s.warmWG.Done()
-				}()
-				s.warm.EvaluateBatch(batch, nil)
-			}()
-		case <-s.stop:
-		}
+	if batch != nil {
+		// The worker owns its own copy of the batch (s.cur is reused).
+		s.warmQ <- append(batch, s.cur...)
 	}
 	return true
+}
+
+// warmLoop is the feed's warm-up worker: it evaluates each closed batch
+// into the shared memo and hands the slice back, freeing its slot.
+func (s *scanBatcher) warmLoop() {
+	defer close(s.warmDone)
+	for {
+		select {
+		case batch, ok := <-s.warmQ:
+			if !ok {
+				return
+			}
+			s.warmBatch(batch)
+			clear(batch)
+			s.warmFree <- batch[:0]
+		case <-s.stop:
+			return
+		}
+	}
+}
+
+// warmBatch runs one warm-up. A panicking backend must not take the
+// process down from a fire-and-forget warm-up; queries that claim the
+// frames themselves hit the same panic behind the executor's own barrier
+// and fail individually.
+func (s *scanBatcher) warmBatch(batch []*video.Frame) {
+	defer func() { _ = recover() }()
+	s.warm.EvaluateBatch(batch, nil)
 }
 
 // pull streams the source into the raw channel until the source ends, the
@@ -610,7 +645,7 @@ func (s *scanBatcher) pull() {
 func (s *scanBatcher) shutdown() { s.stopO.Do(func() { close(s.stop) }) }
 
 // drainInput stops pulling new frames while letting everything already in
-// the raw channel flush downstream as the final (possibly partial) batch;
+// the raw channel flow downstream as the final (possibly partial) batch;
 // idempotent.
 func (s *scanBatcher) drainInput() { s.drainO.Do(func() { close(s.drainC) }) }
 

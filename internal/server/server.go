@@ -114,28 +114,21 @@ type Config struct {
 	// SharedCacheCap caps each shared filter memo, in frames
 	// (default 4096).
 	SharedCacheCap int
-	// ScanBatch is the shared scan's micro-batch size per feed (default
-	// 16): frames are grouped before the fan-out and each group pre-fills
-	// the default filter memo through the backend's batch path. 1 disables
+	// ScanBatch caps the shared scan's micro-batch per feed (default 16):
+	// frames are grouped before the fan-out and each group pre-fills the
+	// default filter memo through the backend's batch path. A batch closes
+	// as soon as the memo warm-up can start on it, so a frame never waits
+	// for batch-mates, only for a busy evaluator. 1 disables
 	// micro-batching; values <= 0 select the default.
 	ScanBatch int
-	// ScanFlush bounds how long a partial micro-batch may wait for more
-	// frames before flushing downstream (default 2ms) — the latency a
-	// paced feed's frame can add waiting for batch-mates.
-	ScanFlush time.Duration
-	// CoalesceBatch is the size trigger of the cross-feed inference
-	// broker (default 32): pending frames from every feed whose backend
-	// shares an architecture/weights identity (filters.Coalescable) are
-	// merged into one batch evaluation once this many accumulate, so many
-	// sparse feeds serving one trained model issue one large GEMM instead
-	// of one tiny GEMM each. 1 disables coalescing; values <= 0 select
-	// the default.
+	// CoalesceBatch caps a merged evaluation of the cross-feed inference
+	// broker (default 32): submissions from every feed whose backend
+	// shares an architecture/weights identity (filters.Coalescable) that
+	// arrive while the shared evaluator is busy are merged into its next
+	// batch evaluation, so many sparse feeds serving one trained model
+	// issue one large GEMM instead of one tiny GEMM each. 1 disables
+	// coalescing; values <= 0 select the default.
 	CoalesceBatch int
-	// CoalesceFlush bounds how long a pending frame may wait for
-	// cross-feed batch-mates before the broker flushes (default 2ms) —
-	// the coalescing analogue of ScanFlush, preserving the per-feed
-	// latency contract.
-	CoalesceFlush time.Duration
 	// SpillDir is the root directory for server-managed result spills
 	// (Options.Spill): each spilling registration gets
 	// SpillDir/<query-id>, removed when the registration leaves the
@@ -183,14 +176,8 @@ func (c Config) withDefaults() Config {
 	if c.ScanBatch <= 0 {
 		c.ScanBatch = 16
 	}
-	if c.ScanFlush <= 0 {
-		c.ScanFlush = 2 * time.Millisecond
-	}
 	if c.CoalesceBatch <= 0 {
 		c.CoalesceBatch = 32
-	}
-	if c.CoalesceFlush <= 0 {
-		c.CoalesceFlush = 2 * time.Millisecond
 	}
 	if c.SpillDir == "" {
 		if c.StateDir != "" {
@@ -253,7 +240,6 @@ func New(cfg Config) *Server {
 		// oversubscribes the machine the budgeter is metering.
 		s.broker = sched.New(sched.Config{
 			Batch:   s.cfg.CoalesceBatch,
-			Flush:   s.cfg.CoalesceFlush,
 			Workers: s.budget.coalesceShare,
 		})
 	}
@@ -904,7 +890,7 @@ type FeedMetrics struct {
 	// subscribers but has not dispatched a frame within
 	// Config.StallAfter.
 	Stalled bool `json:"stalled,omitempty"`
-	// ScanBatches is how many micro-batches the shared scan has flushed;
+	// ScanBatches is how many micro-batches the shared scan has closed;
 	// ScanAvgBatch is their mean size in frames.
 	ScanBatches  int64   `json:"scan_batches,omitempty"`
 	ScanAvgBatch float64 `json:"scan_avg_batch,omitempty"`
