@@ -129,7 +129,7 @@ func TestServeBuildServer(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, err := ts.Client().Post(ts.URL+"/queries", "text/plain",
+	resp, err := ts.Client().Post(ts.URL+"/v1/queries", "text/plain",
 		strings.NewReader("SELECT FRAMES FROM detrac WHERE COUNT(car) >= 3"))
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestServeBuildServer(t *testing.T) {
 	if created.Feed != "detrac" {
 		t.Fatalf("created = %+v", created)
 	}
-	resp, err = ts.Client().Get(ts.URL + "/queries/" + created.ID + "/results")
+	resp, err = ts.Client().Get(ts.URL + "/v1/queries/" + created.ID + "/results")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,13 +190,16 @@ func TestServeGracefulShutdown(t *testing.T) {
 	go func() { done <- runServe(ctx, srv, hs, errc, ln.Addr().String(), "jackson", 10*time.Second, &out) }()
 	base := "http://" + ln.Addr().String()
 
-	// Wait for the listener to serve.
+	// Wait for the real API: until runServe swaps it in, the holding
+	// handler answers every path with 503.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		resp, err := http.Get(base + "/metrics")
+		resp, err := http.Get(base + "/v1/metrics")
 		if err == nil {
 			resp.Body.Close()
-			break
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("server never came up: %v", err)
@@ -204,7 +207,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	resp, err := http.Post(base+"/queries", "text/plain",
+	resp, err := http.Post(base+"/v1/queries", "text/plain",
 		strings.NewReader("SELECT FRAMES FROM jackson WHERE COUNT(car) = 1"))
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +222,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 
 	finals := make(chan server.Event, 1)
 	go func() {
-		resp, err := http.Get(base + "/queries/" + created.ID + "/results")
+		resp, err := http.Get(base + "/v1/queries/" + created.ID + "/results")
 		if err != nil {
 			t.Error(err)
 			finals <- server.Event{}
@@ -242,8 +245,28 @@ func TestServeGracefulShutdown(t *testing.T) {
 		finals <- final
 	}()
 
-	// Let the unbounded feed produce before the "signal" lands.
-	time.Sleep(50 * time.Millisecond)
+	// The "signal" lands only once the result stream is attached, so the
+	// shutdown always has a live consumer to drain to.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		var row struct {
+			Readers int `json:"readers"`
+		}
+		resp, err := http.Get(base + "/v1/queries/" + created.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&row)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.Readers > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("result stream never attached")
+		}
+	}
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatalf("runServe: %v", err)

@@ -19,8 +19,7 @@ import (
 )
 
 // cmdServe hosts the continuous-query server over one or more synthetic
-// live feeds and blocks serving its HTTP API (canonical under /v1; the
-// unversioned paths remain as deprecated aliases for one release):
+// live feeds and blocks serving its HTTP API, all under /v1:
 //
 //	POST   /v1/queries              register a VQL query (text or JSON body)
 //	GET    /v1/queries              list registered queries with delivery telemetry
@@ -140,7 +139,7 @@ func runServe(ctx context.Context, srv *vmq.Server, hs *http.Server, errc <-chan
 		sw.Set(srv.Handler())
 	}
 	srv.Start()
-	fmt.Fprintf(out, "vmq serve: feeds [%s] on http://%s (try: curl -N -d 'SELECT FRAMES FROM jackson WHERE COUNT(car) = 1' http://%s/queries)\n",
+	fmt.Fprintf(out, "vmq serve: feeds [%s] on http://%s (try: curl -N -d 'SELECT FRAMES FROM jackson WHERE COUNT(car) = 1' http://%s/v1/queries)\n",
 		feeds, addr, addr)
 	select {
 	case err := <-errc:

@@ -142,26 +142,22 @@ func EvaluateBatchInto(b Backend, frames []*video.Frame, dst []*Output) []*Outpu
 	return dst
 }
 
-// Parallel is implemented by backends whose batched evaluation can fan
-// work (rasterisation, GEMMs) across a bounded number of workers. It is
-// how the server's coalescing broker hands each evaluator a slice of one
-// shared CPU budget instead of letting every merged batch oversubscribe
-// GOMAXPROCS.
+// Parallel is implemented by backends that report their per-frame cost
+// and accept a worker hint. The trained backends ignore the hint: they
+// rasterise on GOMAXPROCS workers and run every GEMM on the calling
+// goroutine.
 type Parallel interface {
 	Backend
-	// SetEvalWorkers bounds the workers one EvaluateBatch call may use;
-	// 0 restores the default (size to GOMAXPROCS). Worker count never
-	// affects output bytes — only wall-clock — so the scheduler may
-	// retune it between batches. Not safe to call concurrently with an
-	// in-flight evaluation.
+	// SetEvalWorkers is a worker hint for later EvaluateBatch calls.
+	// Worker count never affects output bytes. Not safe to call
+	// concurrently with an in-flight evaluation.
 	SetEvalWorkers(n int)
 	// ForwardFlops estimates the multiply-add flops of evaluating one
-	// frame, the scheduler's threshold for when fanning a merged batch
-	// across cores pays for the coordination.
+	// frame.
 	ForwardFlops() int64
 }
 
-// SetEvalWorkers applies the worker budget to b when it supports one.
+// SetEvalWorkers passes the worker hint to b when it accepts one.
 func SetEvalWorkers(b Backend, n int) {
 	if p, ok := b.(Parallel); ok {
 		p.SetEvalWorkers(n)

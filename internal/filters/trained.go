@@ -3,6 +3,7 @@ package filters
 import (
 	"io"
 	"math/rand/v2"
+	"runtime"
 	"sync"
 
 	"vmq/internal/geom"
@@ -242,8 +243,9 @@ func (t *TrainedCOF) Technique() Technique { return OD }
 // Grid implements Backend; COF produces no location maps.
 func (t *TrainedCOF) Grid() int { return 1 }
 
-// SetEvalWorkers implements Parallel (see Trained.SetEvalWorkers).
-func (t *TrainedCOF) SetEvalWorkers(n int) { t.arena.Workers = n }
+// SetEvalWorkers implements Parallel as a no-op (see
+// Trained.SetEvalWorkers).
+func (t *TrainedCOF) SetEvalWorkers(int) {}
 
 // ForwardFlops implements Parallel.
 func (t *TrainedCOF) ForwardFlops() int64 { return t.Net.ForwardFlops(3, t.Img, t.Img) }
@@ -263,7 +265,7 @@ func (t *TrainedCOF) EvaluateBatch(frames []*video.Frame, dst []*Output) []*Outp
 	}
 	t.Clock.Charge(OD.Cost(), int64(len(frames)))
 	var batch *tensor.Tensor
-	batch, t.batch = renderBatchInto(t.batch, frames, t.Img, t.NoiseSeed, t.arena.Workers)
+	batch, t.batch = renderBatchInto(t.batch, frames, t.Img, t.NoiseSeed)
 	t.arena.Reset()
 	totals := t.Net.ForwardBatch(&t.arena, batch)
 	for i := range frames {
@@ -315,10 +317,10 @@ func (t *Trained) Technique() Technique { return t.Tech }
 // Grid implements Backend.
 func (t *Trained) Grid() int { return t.Net.Grid() }
 
-// SetEvalWorkers implements Parallel: it bounds the workers one
-// EvaluateBatch may spend on rasterisation and GEMMs (0 restores the
-// GOMAXPROCS default). Worker count never changes output bytes.
-func (t *Trained) SetEvalWorkers(n int) { t.arena.Workers = n }
+// SetEvalWorkers implements Parallel as a no-op: EvaluateBatch always
+// rasterises on GOMAXPROCS workers and runs the forward pass on the
+// calling goroutine.
+func (t *Trained) SetEvalWorkers(int) {}
 
 // ForwardFlops implements Parallel: the per-frame multiply-add estimate
 // for one rasterised frame through the branch network.
@@ -345,7 +347,7 @@ func (t *Trained) EvaluateBatch(frames []*video.Frame, dst []*Output) []*Output 
 	}
 	t.Clock.Charge(t.Tech.Cost(), int64(len(frames)))
 	var batch *tensor.Tensor
-	batch, t.batch = renderBatchInto(t.batch, frames, t.Img, t.NoiseSeed, t.arena.Workers)
+	batch, t.batch = renderBatchInto(t.batch, frames, t.Img, t.NoiseSeed)
 	t.arena.Reset()
 	counts, maps := t.Net.ForwardBatch(&t.arena, batch)
 	g := t.Net.Grid()
@@ -371,7 +373,11 @@ func (t *Trained) EvaluateBatch(frames []*video.Frame, dst []*Output) []*Output 
 // at n·3·img², so the rasteriser writes each frame in place with no
 // copies. It returns the N×3×img×img view over the frames just rendered
 // and the (possibly regrown) buffer for the caller to retain.
-func renderBatchInto(buf *tensor.Tensor, frames []*video.Frame, img int, noiseSeed uint64, workers int) (batch, store *tensor.Tensor) {
+//
+// This is the one place an evaluation decides how many cores it uses: the
+// rasteriser's pool gets GOMAXPROCS workers, and everything after it
+// (im2col, GEMMs, the head) runs on the calling goroutine.
+func renderBatchInto(buf *tensor.Tensor, frames []*video.Frame, img int, noiseSeed uint64) (batch, store *tensor.Tensor) {
 	n := len(frames)
 	if buf == nil || buf.Shape[0] < n {
 		// Headroom for fluctuating coalesced batch widths, mirroring
@@ -379,6 +385,6 @@ func renderBatchInto(buf *tensor.Tensor, frames []*video.Frame, img int, noiseSe
 		buf = tensor.New(n+n/4+1, 3, img, img)
 	}
 	batch = &tensor.Tensor{Shape: []int{n, 3, img, img}, Data: buf.Data[:n*3*img*img]}
-	video.RenderBatchInto(batch, frames, noiseSeed, workers)
+	video.RenderBatchInto(batch, frames, noiseSeed, runtime.GOMAXPROCS(0))
 	return batch, buf
 }

@@ -9,7 +9,7 @@ import (
 // Batched inference
 //
 // ForwardBatch runs B frames through the network with one GEMM per layer
-// instead of B, using the cache-blocked parallel kernels of package tensor
+// instead of B, using the cache-blocked kernels of package tensor
 // and a reusable activation arena so the steady-state hot path performs no
 // per-frame allocations. Activations are kept in the feature-major batch
 // layout (C×N×H×W, see tensor.Im2ColBatchInto) between layers; the public
@@ -17,7 +17,7 @@ import (
 //
 // The batched pass is bit-identical to the per-frame Forward path: every
 // kernel accumulates each output element in ascending-k order regardless
-// of batch width or worker count, which is what lets the trained filter
+// of batch width, which is what lets the trained filter
 // backends serve Evaluate and EvaluateBatch from one code path with
 // results independent of how frames were grouped.
 //
@@ -33,14 +33,6 @@ import (
 // shared between concurrent forward passes; results are valid until the
 // arena's next Reset.
 type Arena struct {
-	// Workers bounds the GEMM worker count for forward passes run through
-	// this arena: 0 (the zero value) lets the tensor kernels size
-	// themselves to GOMAXPROCS, matching the historical behaviour, while
-	// a positive value pins the budget — the hook the server's coalescing
-	// broker uses to split one CPU budget across concurrent evaluators
-	// instead of oversubscribing every merged GEMM.
-	Workers int
-
 	slots [][]float32
 	next  int
 }
@@ -54,9 +46,9 @@ func (a *Arena) Reset() { a.next = 0 }
 // assume zeroed memory.
 //
 // Regrowth carries headroom: the server's cross-feed coalescing hands the
-// same network batches whose width fluctuates flush to flush (a lone
-// deadline-flushed frame up to every feed tripping the size trigger at
-// once), and doubling-with-slack lets a ratcheting batch width settle
+// same network batches whose width fluctuates run to run (a lone frame
+// that found the evaluator idle, up to a merged run at the batch cap),
+// and doubling-with-slack lets a ratcheting batch width settle
 // after one reallocation instead of reallocating at each new maximum.
 func (a *Arena) grab(n int) []float32 {
 	if a.next == len(a.slots) {
@@ -154,7 +146,7 @@ func layerForwardBatchFM(ar *Arena, l Layer, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // convForwardBatchFM lowers the batched convolution to one im2col and one
-// parallel GEMM: cols is (C·KH·KW)×(N·OH·OW), and the weight GEMM's output
+// GEMM: cols is (C·KH·KW)×(N·OH·OW), and the weight GEMM's output
 // (outC × N·OH·OW) is already the next layer's feature-major input. A
 // non-nil act (ReLU or LeakyReLU) is applied in the same pass as the bias.
 func convForwardBatchFM(ar *Arena, l *Conv2D, x *tensor.Tensor, act Layer) *tensor.Tensor {
@@ -174,7 +166,7 @@ func convForwardBatchFM(ar *Arena, l *Conv2D, x *tensor.Tensor, act Layer) *tens
 		kind, slope = tensor.ActLeakyReLU, a.Slope
 	}
 	out := tensor.MatMulBiasAct(ar.tensor(outC, n*oh*ow), l.W.Value.Reshape(outC, ckk), cols,
-		l.B.Value.Data, kind, slope, ar.Workers)
+		l.B.Value.Data, kind, slope, 1)
 	out.Shape = []int{outC, n, oh, ow}
 	return out
 }
@@ -205,7 +197,7 @@ func linearForwardBatchFM(ar *Arena, l *Linear, x *tensor.Tensor) *tensor.Tensor
 	if xm.Shape[0] != in {
 		panic(fmt.Sprintf("nn: ForwardBatch linear input %d vs weights %v", xm.Shape[0], l.W.Value.Shape))
 	}
-	return tensor.MatMulBiasAct(ar.tensor(out, n), l.W.Value, xm, l.B.Value.Data, tensor.ActNone, 0, ar.Workers)
+	return tensor.MatMulBiasAct(ar.tensor(out, n), l.W.Value, xm, l.B.Value.Data, tensor.ActNone, 0, 1)
 }
 
 // ForwardFlops estimates the multiply-add flops one frame of a c×h×w input

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -154,32 +153,11 @@ func TestForwardBatchAllocs(t *testing.T) {
 	}
 }
 
-// A pinned arena worker budget must never change output bytes — workers
-// partition GEMM columns, and each column's accumulation order is fixed —
-// and ForwardFlops must track the architecture monotonically (it is the
-// broker's fan-out threshold).
-func TestArenaWorkersBitIdenticalAndForwardFlops(t *testing.T) {
+// ForwardFlops must be positive and track the architecture monotonically.
+func TestForwardFlops(t *testing.T) {
 	rng := rand.New(rand.NewPCG(33, 0))
 	const img, d, classes = 32, 16, 3
 	net := NewCountLocNet(rng, ODBackbone(rng, 3, img, d), d, img/4, classes)
-	batch, _ := randomFrames(rng, 6, 3, img)
-
-	ref := &Arena{}
-	wantCounts, wantMaps := net.ForwardBatch(ref, batch)
-	for _, workers := range []int{1, 2, 3, 7} {
-		ar := &Arena{Workers: workers}
-		counts, maps := net.ForwardBatch(ar, batch)
-		for i := range wantCounts.Data {
-			if math.Float32bits(counts.Data[i]) != math.Float32bits(wantCounts.Data[i]) {
-				t.Fatalf("workers=%d: counts[%d] = %v, want %v", workers, i, counts.Data[i], wantCounts.Data[i])
-			}
-		}
-		for i := range wantMaps.Data {
-			if math.Float32bits(maps.Data[i]) != math.Float32bits(wantMaps.Data[i]) {
-				t.Fatalf("workers=%d: maps[%d] = %v, want %v", workers, i, maps.Data[i], wantMaps.Data[i])
-			}
-		}
-	}
 
 	fl := net.ForwardFlops(3, img, img)
 	if fl <= 0 {

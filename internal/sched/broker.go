@@ -44,43 +44,6 @@ type Config struct {
 	// per-feed micro-batches). A single request larger than the cap still
 	// runs whole. Values < 2 select the default.
 	Batch int
-	// Shards is the number of independently locked sub-brokers that
-	// architecture groups hash into by coalesce key, so one group's
-	// bookkeeping (joins, departures, metrics) never serialises against
-	// another group's. Values < 1 select max(1, GOMAXPROCS/4) — one shard
-	// per few cores; a group only ever lives on one shard, so sharding
-	// never changes which frames coalesce together.
-	Shards int
-	// Workers sizes the evaluator's CPU budget for one merged run,
-	// given the number of distinct submitters it coalesced. The broker
-	// applies it (via filters.SetEvalWorkers) only to runs whose
-	// estimated cost reaches ParallelFlops — smaller merges evaluate
-	// single-threaded, where the GEMM is too small to pay for fan-out.
-	// nil leaves evaluator defaults untouched (size to GOMAXPROCS). The
-	// server wires this to its budgeter so coalesced GEMMs and per-feed
-	// scans share one CPU budget instead of oversubscribing.
-	Workers func(distinct int) int
-	// ParallelFlops is the estimated multiply-add count (batch frames ×
-	// the evaluator's per-frame ForwardFlops) at which a merged run is
-	// worth fanning across cores. Values < 1 select the default (4M —
-	// roughly a dozen coalesced small-CNN frames).
-	ParallelFlops int64
-}
-
-func (c Config) withDefaults() Config {
-	if c.Batch < 2 {
-		c.Batch = 32
-	}
-	if c.Shards < 1 {
-		c.Shards = runtime.GOMAXPROCS(0) / 4
-		if c.Shards < 1 {
-			c.Shards = 1
-		}
-	}
-	if c.ParallelFlops < 1 {
-		c.ParallelFlops = 4 << 20
-	}
-	return c
 }
 
 // Broker coalesces batch evaluations across backends sharing an
@@ -88,20 +51,11 @@ func (c Config) withDefaults() Config {
 // every request is evaluated by its own submitter or by the submitter
 // leading the run that merges it, so shutdown needs no coordination.
 //
-// Internally the broker is sharded: groups hash by coalesce key onto
-// independently locked sub-brokers, so concurrent joins, run
-// bookkeeping and metric folds for unrelated architectures proceed
-// without sharing a lock.
+// The broker's one mutex guards only group membership and metrics; runs
+// are serialised per group, so unrelated architectures evaluate
+// concurrently.
 type Broker struct {
-	cfg    Config
-	shards []*brokerShard
-}
-
-// brokerShard owns the groups whose keys hash to it: a fixed key→shard
-// mapping means sharding is invisible to coalescing semantics — every
-// submission for one architecture still meets in the same group.
-type brokerShard struct {
-	cfg Config
+	batch int
 
 	mu     sync.Mutex
 	groups map[string]*group
@@ -115,30 +69,19 @@ type brokerShard struct {
 }
 
 // retainRetired caps how many departed architecture keys keep their
-// accumulated counters in the metrics snapshot (per shard).
+// accumulated counters in the metrics snapshot.
 const retainRetired = 64
 
 // New creates a Broker.
 func New(cfg Config) *Broker {
-	cfg = cfg.withDefaults()
-	br := &Broker{cfg: cfg, shards: make([]*brokerShard, cfg.Shards)}
-	for i := range br.shards {
-		br.shards[i] = &brokerShard{
-			cfg:     cfg,
-			groups:  make(map[string]*group),
-			retired: make(map[string]*GroupMetrics),
-		}
+	if cfg.Batch < 2 {
+		cfg.Batch = 32
 	}
-	return br
-}
-
-// shardFor maps a coalesce key onto its owning shard (FNV-1a).
-func (br *Broker) shardFor(key string) *brokerShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
+	return &Broker{
+		batch:   cfg.Batch,
+		groups:  make(map[string]*group),
+		retired: make(map[string]*GroupMetrics),
 	}
-	return br.shards[h%uint32(len(br.shards))]
 }
 
 // Wrap returns a backend whose batch evaluations are coalesced with every
@@ -154,23 +97,15 @@ func (br *Broker) Wrap(b filters.Backend) filters.Backend {
 	if key == "" {
 		return b
 	}
-	cb := b.(filters.Coalescable)
-	sh := br.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	g, ok := sh.groups[key]
+	br.mu.Lock()
+	defer br.mu.Unlock()
+	g, ok := br.groups[key]
 	if !ok {
 		// The first member becomes the group's evaluator: equal keys make
 		// member backends interchangeable, so one instance (one weight
 		// set, one arena) serves the whole group cache-hot.
-		g = &group{
-			key: key, sh: sh, eval: cb,
-			batch:         sh.cfg.Batch,
-			workersFn:     sh.cfg.Workers,
-			parallelFlops: sh.cfg.ParallelFlops,
-			flopsPerFrame: filters.ForwardFlopsOf(cb),
-		}
-		sh.groups[key] = g
+		g = &group{key: key, br: br, eval: b.(filters.Coalescable)}
+		br.groups[key] = g
 	}
 	g.mu.Lock()
 	g.joined++
@@ -201,24 +136,21 @@ type GroupMetrics struct {
 }
 
 // Metrics snapshots every group — active ones plus the accumulated
-// counters of retired ones, merged per key across all shards — sorted by
-// key.
+// counters of retired ones, merged per key — sorted by key.
 func (br *Broker) Metrics() []GroupMetrics {
 	if br == nil {
 		return nil
 	}
 	byKey := make(map[string]GroupMetrics)
-	var groups []*group
-	for _, sh := range br.shards {
-		sh.mu.Lock()
-		for key, gm := range sh.retired {
-			byKey[key] = mergeGroupMetrics(byKey[key], *gm)
-		}
-		for _, g := range sh.groups {
-			groups = append(groups, g)
-		}
-		sh.mu.Unlock()
+	br.mu.Lock()
+	for key, gm := range br.retired {
+		byKey[key] = *gm
 	}
+	groups := make([]*group, 0, len(br.groups))
+	for _, g := range br.groups {
+		groups = append(groups, g)
+	}
+	br.mu.Unlock()
 	for _, g := range groups {
 		g.mu.Lock()
 		gm := g.snapshotLocked()
@@ -251,19 +183,19 @@ func mergeGroupMetrics(a, b GroupMetrics) GroupMetrics {
 	return a
 }
 
-// retireLocked folds a departing group's counters into the shard's
-// retired accumulator (caller holds sh.mu and g.mu).
-func (sh *brokerShard) retireLocked(g *group) {
+// retireLocked folds a departing group's counters into the broker's
+// retired accumulator (caller holds br.mu and g.mu).
+func (br *Broker) retireLocked(g *group) {
 	gm := g.snapshotLocked()
-	if have, ok := sh.retired[g.key]; ok {
+	if have, ok := br.retired[g.key]; ok {
 		*have = mergeGroupMetrics(*have, gm)
 		return
 	}
-	sh.retired[g.key] = &gm
-	sh.retiredOrder = append(sh.retiredOrder, g.key)
-	for len(sh.retiredOrder) > retainRetired {
-		delete(sh.retired, sh.retiredOrder[0])
-		sh.retiredOrder = sh.retiredOrder[1:]
+	br.retired[g.key] = &gm
+	br.retiredOrder = append(br.retiredOrder, g.key)
+	for len(br.retiredOrder) > retainRetired {
+		delete(br.retired, br.retiredOrder[0])
+		br.retiredOrder = br.retiredOrder[1:]
 	}
 }
 
@@ -301,17 +233,9 @@ func (r *request) result() []*filters.Output {
 
 // group is the state of one architecture identity.
 type group struct {
-	key   string
-	sh    *brokerShard
-	eval  filters.BatchBackend
-	batch int
-
-	// workersFn/parallelFlops/flopsPerFrame drive the multicore routing
-	// of merged runs (see Config.Workers): flopsPerFrame is the
-	// evaluator's per-frame estimate, captured once at group creation.
-	workersFn     func(distinct int) int
-	parallelFlops int64
-	flopsPerFrame int64
+	key  string
+	br   *Broker
+	eval filters.BatchBackend
 
 	mu       sync.Mutex
 	attached int // proxies wrapped and not yet departed: gates group removal
@@ -373,7 +297,7 @@ func (g *group) submit(from *proxy, frames []*video.Frame) []*filters.Output {
 // accounts the run (caller holds g.mu).
 func (g *group) claimLocked(lead *request) []*request {
 	n, k := len(lead.frames), 0
-	for k < len(g.pending) && n+len(g.pending[k].frames) <= g.batch {
+	for k < len(g.pending) && n+len(g.pending[k].frames) <= g.br.batch {
 		n += len(g.pending[k].frames)
 		k++
 	}
@@ -429,32 +353,8 @@ func (g *group) handOff() {
 // the process hosting it.
 func (g *group) run(reqs []*request) {
 	all := g.all[:0]
-	distinct := 0
-	for i, r := range reqs {
+	for _, r := range reqs {
 		all = append(all, r.frames...)
-		dup := false
-		for _, q := range reqs[:i] {
-			if q.from == r.from {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			distinct++
-		}
-	}
-	if g.workersFn != nil {
-		// Route this run's CPU budget: merges whose estimated GEMM work
-		// clears the threshold get the scheduler-granted share; smaller
-		// ones stay on one core, where fan-out costs more than it saves.
-		// Worker count never changes output bytes, only wall-clock.
-		workers := 1
-		if g.flopsPerFrame > 0 && int64(len(all))*g.flopsPerFrame >= g.parallelFlops {
-			if w := g.workersFn(distinct); w > workers {
-				workers = w
-			}
-		}
-		filters.SetEvalWorkers(g.eval, workers)
 	}
 	outs, pval := evalGuarded(g.eval, all, g.scratch[:0])
 	off := 0
@@ -525,14 +425,14 @@ func (g *group) release() {
 // group abandoned mid-run is retired by the leader that finds nothing
 // left to hand off to.
 func (g *group) retireIfAbandoned() {
-	g.sh.mu.Lock()
+	g.br.mu.Lock()
 	g.mu.Lock()
-	if g.attached <= 0 && !g.running && g.sh.groups[g.key] == g {
-		delete(g.sh.groups, g.key)
-		g.sh.retireLocked(g)
+	if g.attached <= 0 && !g.running && g.br.groups[g.key] == g {
+		delete(g.br.groups, g.key)
+		g.br.retireLocked(g)
 	}
 	g.mu.Unlock()
-	g.sh.mu.Unlock()
+	g.br.mu.Unlock()
 }
 
 // proxy routes one wrapped backend's evaluations through its group.

@@ -346,13 +346,11 @@ func TestBrokerLeaveDuringRun(t *testing.T) {
 	if calls, frames := counting.calls.Load(), counting.frames.Load(); calls != 2 || frames != 5 {
 		t.Fatalf("evaluator saw %d calls / %d frames, want 2 / 5", calls, frames)
 	}
-	for _, sh := range br.shards {
-		sh.mu.Lock()
-		active := len(sh.groups)
-		sh.mu.Unlock()
-		if active != 0 {
-			t.Fatalf("%d groups still held after every member left", active)
-		}
+	br.mu.Lock()
+	active := len(br.groups)
+	br.mu.Unlock()
+	if active != 0 {
+		t.Fatalf("%d groups still held after every member left", active)
 	}
 	ms := br.Metrics()
 	if len(ms) != 1 || ms[0].Frames != 5 || ms[0].Batches != 2 || ms[0].Live != 0 {
@@ -374,12 +372,9 @@ func TestBrokerRetiresAbandonedGroups(t *testing.T) {
 	idle := br.Wrap(newTrained(t, 12)) // different key, never submits
 	idle.(Member).Leave()
 
-	active := 0
-	for _, sh := range br.shards {
-		sh.mu.Lock()
-		active += len(sh.groups)
-		sh.mu.Unlock()
-	}
+	br.mu.Lock()
+	active := len(br.groups)
+	br.mu.Unlock()
 	if active != 0 {
 		t.Fatalf("%d groups still held after every proxy left", active)
 	}
@@ -457,78 +452,14 @@ func TestBrokerIsolatesPanickingMember(t *testing.T) {
 	}
 }
 
-// parallelRecorder is a Coalescable evaluator that records every worker
-// budget the broker hands it before an evaluation.
-type parallelRecorder struct {
-	*filters.Trained
-	mu  sync.Mutex
-	set []int
-}
-
-func (p *parallelRecorder) SetEvalWorkers(n int) {
-	p.mu.Lock()
-	p.set = append(p.set, n)
-	p.mu.Unlock()
-	p.Trained.SetEvalWorkers(n)
-}
-
-// A configured Workers budget must be applied only to runs whose
-// estimated GEMM work clears ParallelFlops; smaller runs pin the
-// evaluator to one core. With no Workers configured the broker must not
-// touch the evaluator's worker setting at all.
-func TestBrokerRoutesFlushesThroughWorkerBudget(t *testing.T) {
-	rec := &parallelRecorder{Trained: newTrained(t, 21)}
-	perFrame := rec.ForwardFlops()
-	if perFrame <= 0 {
-		t.Fatalf("ForwardFlops = %d", perFrame)
-	}
-	var asked atomic.Int64
-	br := New(Config{
-		Batch: 64, Shards: 3,
-		ParallelFlops: 4 * perFrame, // 4+ frames fan out, fewer stay serial
-		Workers: func(distinct int) int {
-			asked.Add(1)
-			if distinct < 1 {
-				t.Errorf("Workers called with distinct=%d", distinct)
-			}
-			return 3
-		},
-	})
-	bk := br.Wrap(rec)
-	frames := video.NewStream(video.Jackson(), 5).Take(8)
-	// Sequential submissions each find the evaluator idle, so every one
-	// is its own run.
-	filters.EvaluateBatch(bk, frames)     // 8 frames ≥ threshold → budget
-	filters.EvaluateBatch(bk, frames[:2]) // 2 frames < threshold → 1 worker
-	rec.mu.Lock()
-	got := append([]int(nil), rec.set...)
-	rec.mu.Unlock()
-	if len(got) != 2 || got[0] != 3 || got[1] != 1 {
-		t.Fatalf("worker budgets applied = %v, want [3 1]", got)
-	}
-	if asked.Load() != 1 {
-		t.Fatalf("Workers consulted %d times, want 1", asked.Load())
-	}
-
-	// No Workers configured: the evaluator's setting must stay untouched.
-	rec2 := &parallelRecorder{Trained: newTrained(t, 22)}
-	br2 := New(Config{Batch: 64})
-	filters.EvaluateBatch(br2.Wrap(rec2), frames)
-	rec2.mu.Lock()
-	defer rec2.mu.Unlock()
-	if len(rec2.set) != 0 {
-		t.Fatalf("broker without Workers touched the evaluator: %v", rec2.set)
-	}
-}
-
-// Feeds joining and draining across shards while merged runs execute:
-// the sharded broker's bookkeeping (join, run, leave, retire, metrics
+// Feeds joining and draining across architectures while merged runs
+// execute: the broker's bookkeeping (join, run, leave, retire, metrics
 // folds) must stay race-free and account for every frame exactly once.
-// Run under -race this is the churn proof for the shard split.
-func TestBrokerShardChurn(t *testing.T) {
+// Run under -race this is the churn proof.
+func TestBrokerChurn(t *testing.T) {
 	p := video.Jackson()
 	const arches, workers, rounds, perFeed = 5, 8, 6, 24
-	br := New(Config{Batch: 6, Shards: 4})
+	br := New(Config{Batch: 6})
 
 	stop := make(chan struct{})
 	var snapshots sync.WaitGroup
@@ -553,7 +484,7 @@ func TestBrokerShardChurn(t *testing.T) {
 			defer wg.Done()
 			frames := video.NewStream(p, uint64(500+w)).Take(perFeed)
 			for round := 0; round < rounds; round++ {
-				arch := (w + round) % arches // keys spread across shards
+				arch := (w + round) % arches
 				bk := br.Wrap(newTrained(t, uint64(30+arch)))
 				var outs []*filters.Output
 				for off := 0; off+2 <= len(frames); off += 2 {

@@ -234,31 +234,6 @@ func (b *budgeter) rebalanceLocked() {
 	}
 }
 
-// coalesceShare sizes the GEMM worker budget for one merged cross-feed
-// batch. The coalescing broker reports how many distinct feeds
-// contributed frames, and the batch gets those feeds' combined slice of
-// the machine — total×distinct/live — so a batch merged from every live
-// feed may use the whole budget while a batch from one feed of many
-// stays inside that feed's fair share and cannot starve the per-feed
-// gates. Clamped to [1, total]; with no live feeds (a flush can race
-// the last registration's teardown) the whole budget is available.
-func (b *budgeter) coalesceShare(distinct int) int {
-	b.mu.Lock()
-	live := len(b.feeds)
-	b.mu.Unlock()
-	if distinct < 1 {
-		distinct = 1
-	}
-	if live <= distinct {
-		return b.total
-	}
-	share := b.total * distinct / live
-	if share < 1 {
-		share = 1
-	}
-	return share
-}
-
 // snapshot lists every live feed's share, sorted by feed name.
 func (b *budgeter) snapshot() []workerShare {
 	b.mu.Lock()

@@ -46,11 +46,7 @@ import (
 // with stable codes (feed_busy, feed_draining, feed_not_found,
 // query_not_found, feed_exists, buffer_too_large, invalid_query,
 // unknown_policy, bad_request, not_push_feed, server_closed, internal).
-//
-// The original unversioned paths remain as deprecated aliases of their
-// /v1 successors: same handlers and bodies, plus a "Deprecation: true"
-// header and a Link to the successor. New endpoints exist only under
-// /v1.
+// Unversioned paths are not served.
 //
 // POST /v1/queries accepts either a raw VQL statement (text/plain) or a
 // JSON body {"query": "...", "count_tolerance": n, "location_tolerance":
@@ -59,46 +55,22 @@ import (
 // bool}.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	routes := []struct {
-		pattern string // method + path, without the version prefix
-		handler http.HandlerFunc
-		legacy  bool // also served unversioned, as a deprecated alias
-	}{
-		{"POST /queries", s.handleRegister, true},
-		{"GET /queries", s.handleList, true},
-		{"GET /queries/{id}", s.handleQueryStatus, false},
-		{"GET /queries/{id}/results", s.handleResults, true},
-		{"POST /queries/{id}/ack", s.handleAck, false},
-		{"GET /queries/{id}/history", s.handleHistory, false},
-		{"DELETE /queries/{id}", s.handleUnregister, true},
-		{"POST /feeds", s.handleCreateFeed, true},
-		{"GET /feeds", s.handleListFeeds, true},
-		{"POST /feeds/{name}/drain", s.handleDrainFeed, true},
-		{"DELETE /feeds/{name}", s.handleRemoveFeed, true},
-		{"POST /feeds/{name}/frames", s.handlePublishFrames, true},
-		{"GET /feeds/{name}/publish", s.handlePublishWS, true},
-		{"GET /metrics", s.handleMetrics, true},
-		{"GET /healthz", s.handleHealthz, false},
-	}
-	for _, rt := range routes {
-		method, path, _ := strings.Cut(rt.pattern, " ")
-		mux.HandleFunc(method+" /v1"+path, rt.handler)
-		if rt.legacy {
-			mux.HandleFunc(rt.pattern, deprecatedAlias(rt.handler))
-		}
-	}
+	mux.HandleFunc("POST /v1/queries", s.handleRegister)
+	mux.HandleFunc("GET /v1/queries", s.handleList)
+	mux.HandleFunc("GET /v1/queries/{id}", s.handleQueryStatus)
+	mux.HandleFunc("GET /v1/queries/{id}/results", s.handleResults)
+	mux.HandleFunc("POST /v1/queries/{id}/ack", s.handleAck)
+	mux.HandleFunc("GET /v1/queries/{id}/history", s.handleHistory)
+	mux.HandleFunc("DELETE /v1/queries/{id}", s.handleUnregister)
+	mux.HandleFunc("POST /v1/feeds", s.handleCreateFeed)
+	mux.HandleFunc("GET /v1/feeds", s.handleListFeeds)
+	mux.HandleFunc("POST /v1/feeds/{name}/drain", s.handleDrainFeed)
+	mux.HandleFunc("DELETE /v1/feeds/{name}", s.handleRemoveFeed)
+	mux.HandleFunc("POST /v1/feeds/{name}/frames", s.handlePublishFrames)
+	mux.HandleFunc("GET /v1/feeds/{name}/publish", s.handlePublishWS)
+	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
+	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	return mux
-}
-
-// deprecatedAlias serves a legacy unversioned route with the canonical
-// handler, marking the response so clients migrate: Deprecation (RFC
-// 9745) plus a Link to the /v1 successor, which serves the same bodies.
-func deprecatedAlias(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("</v1%s>; rel=\"successor-version\"", r.URL.Path))
-		h(w, r)
-	}
 }
 
 // apiError is the uniform error envelope every endpoint answers with.

@@ -343,22 +343,19 @@ func TestServerSpillBudgetBounded(t *testing.T) {
 	}
 }
 
-// The unversioned aliases carry deprecation headers pointing at their
-// /v1 successors; the /v1 surface does not, and errors everywhere use
-// the typed envelope.
+// The unversioned aliases are gone: GET /queries answers 404, the /v1
+// surface carries no deprecation headers, and errors everywhere use the
+// typed envelope.
 func TestHTTPDeprecationAndErrorEnvelope(t *testing.T) {
 	_, ts := newHTTPServer(t, 20)
 
-	legacy, err := http.Get(ts.URL + "/queries")
+	unversioned, err := http.Get(ts.URL + "/queries")
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy.Body.Close()
-	if legacy.Header.Get("Deprecation") != "true" {
-		t.Fatalf("legacy route Deprecation header = %q, want true", legacy.Header.Get("Deprecation"))
-	}
-	if link := legacy.Header.Get("Link"); link != `</v1/queries>; rel="successor-version"` {
-		t.Fatalf("legacy route Link header = %q", link)
+	unversioned.Body.Close()
+	if unversioned.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /queries -> %d, want 404", unversioned.StatusCode)
 	}
 
 	v1, err := http.Get(ts.URL + "/v1/queries")
@@ -366,8 +363,8 @@ func TestHTTPDeprecationAndErrorEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 	v1.Body.Close()
-	if v1.Header.Get("Deprecation") != "" {
-		t.Fatal("/v1 route carries a Deprecation header")
+	if v1.StatusCode != http.StatusOK || v1.Header.Get("Deprecation") != "" {
+		t.Fatalf("GET /v1/queries -> %d, Deprecation %q", v1.StatusCode, v1.Header.Get("Deprecation"))
 	}
 
 	for _, tc := range []struct {

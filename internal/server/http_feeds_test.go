@@ -388,7 +388,7 @@ func wsDial(t *testing.T, tsURL, path string) (net.Conn, *bufio.Reader) {
 	t.Cleanup(func() { conn.Close() })
 	const key = "dGhlIHNhbXBsZSBub25jZQ=="
 	fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: %s\r\nUpgrade: websocket\r\nConnection: Upgrade\r\nSec-WebSocket-Key: %s\r\nSec-WebSocket-Version: 13\r\n\r\n",
-		apiPrefix()+path, addr, key)
+		"/v1"+path, addr, key)
 	br := bufio.NewReader(conn)
 	resp, err := http.ReadResponse(br, nil)
 	if err != nil {

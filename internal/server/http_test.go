@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,18 +16,8 @@ import (
 	"vmq/internal/video"
 )
 
-// apiPrefix is the path prefix the HTTP suites exercise: the canonical
-// /v1 surface by default, or — when VMQ_HTTP_LEGACY=1, the CI
-// compatibility leg — the deprecated unversioned aliases, pinning that
-// both serve identical bodies.
-func apiPrefix() string {
-	if os.Getenv("VMQ_HTTP_LEGACY") == "1" {
-		return ""
-	}
-	return "/v1"
-}
-
-func apiBase(ts *httptest.Server) string { return ts.URL + apiPrefix() }
+// apiBase is the root of the versioned HTTP surface the suites exercise.
+func apiBase(ts *httptest.Server) string { return ts.URL + "/v1" }
 
 func newHTTPServer(t *testing.T, n int) (*Server, *httptest.Server) {
 	t.Helper()

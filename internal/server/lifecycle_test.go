@@ -527,40 +527,3 @@ func TestBudgeterWeightsSharesByScanRate(t *testing.T) {
 	}
 	b.stop()
 }
-
-// coalesceShare hands a merged cross-feed batch the combined slice of
-// the feeds that contributed: total×distinct/live, clamped to [1,
-// total], and the whole budget when no feed is live (a flush racing the
-// last teardown) or when every live feed contributed.
-func TestBudgeterCoalesceShare(t *testing.T) {
-	b := newBudgeter(8, 0)
-	defer b.stop()
-	if got := b.coalesceShare(3); got != 8 {
-		t.Fatalf("no live feeds: share = %d, want the whole budget (8)", got)
-	}
-	for _, name := range []string{"a", "b", "c", "d"} {
-		b.join(name, nil)
-	}
-	cases := []struct{ distinct, want int }{
-		{0, 2}, // defensive floor: treated as one submitter
-		{1, 2}, // 8×1/4
-		{2, 4}, // 8×2/4
-		{3, 6}, // 8×3/4
-		{4, 8}, // every live feed contributed → whole budget
-		{9, 8}, // more submitters than live feeds (teardown race) → clamp
-	}
-	for _, c := range cases {
-		if got := b.coalesceShare(c.distinct); got != c.want {
-			t.Fatalf("coalesceShare(%d) = %d, want %d", c.distinct, got, c.want)
-		}
-	}
-	// The floor: 1 distinct feed of 16 live still gets one worker.
-	tiny := newBudgeter(8, 0)
-	defer tiny.stop()
-	for i := 0; i < 16; i++ {
-		tiny.join(fmt.Sprintf("f%02d", i), nil)
-	}
-	if got := tiny.coalesceShare(1); got != 1 {
-		t.Fatalf("1-of-16 share = %d, want the 1-worker floor", got)
-	}
-}

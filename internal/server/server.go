@@ -235,13 +235,7 @@ func New(cfg Config) *Server {
 	}
 	s.budget = newBudgeter(s.cfg.WorkerBudget, budgetTick)
 	if s.cfg.CoalesceBatch > 1 {
-		// Merged batches big enough to parallelise draw workers from the
-		// same budget the per-feed gates split, so coalescing never
-		// oversubscribes the machine the budgeter is metering.
-		s.broker = sched.New(sched.Config{
-			Batch:   s.cfg.CoalesceBatch,
-			Workers: s.budget.coalesceShare,
-		})
+		s.broker = sched.New(sched.Config{Batch: s.cfg.CoalesceBatch})
 	}
 	return s
 }

@@ -66,14 +66,6 @@ func maxPool2RowAVX2(dst, r0, r1 []float32) {
 //go:noescape
 func axpy16(d0, d1, d2, d3, b *float32, n int, v0, v1, v2, v3 float32)
 
-// axpyFMA8 fuses each multiply-add pair with VFMADD231PS (one rounding per
-// element instead of two), so its results are NOT bit-identical to the
-// other variants. Reachable only through the SetTolerance opt-in. The
-// scalar tail uses VFMADD231SS for the same one-rounding semantics.
-//
-//go:noescape
-func axpyFMA8(d0, d1, d2, d3, b *float32, n int, v0, v1, v2, v3 float32)
-
 // bias16 adds b to seg[0:n] sixteen lanes at a time (n must be a multiple
 // of 16; the Go wrapper peels the tail).
 //
@@ -176,15 +168,6 @@ func axpyQuadAVX512(d0, d1, d2, d3, b []float32, v0, v1, v2, v3 float32) {
 		return
 	}
 	axpy16(&d0[0], &d1[0], &d2[0], &d3[0], &b[0], len(b), v0, v1, v2, v3)
-}
-
-// axpyQuadFMA is the fused-multiply-add dispatch target (tolerant level:
-// not bit-identical to the others).
-func axpyQuadFMA(d0, d1, d2, d3, b []float32, v0, v1, v2, v3 float32) {
-	if len(b) == 0 {
-		return
-	}
-	axpyFMA8(&d0[0], &d1[0], &d2[0], &d3[0], &b[0], len(b), v0, v1, v2, v3)
 }
 
 // epilogueRowAVX512 applies the bias+activation epilogue with the 16-wide
@@ -309,23 +292,9 @@ func hasAVX512() bool {
 	return ebx7&avx512f != 0 && ebx7&avx512vl != 0
 }
 
-// hasFMA reports whether the fused-multiply-add level can run: the FMA3
-// feature bit (CPUID.1:ECX bit 12) plus full AVX2 support, since the fma
-// level borrows the AVX2 epilogue, pooling and rasteriser kernels (those
-// stay bit-exact — only the axpy fuses).
-func hasFMA() bool {
-	if !hasAVX2() {
-		return false
-	}
-	_, _, ecx1, _ := cpuidex(1, 0)
-	return ecx1&(1<<12) != 0
-}
-
 // archKernels returns the SIMD kernel levels this CPU supports. The "sse"
 // level is exactly the pre-AVX2 system: 4-wide axpy with the scalar
-// epilogue, pooling and rasteriser rows. The "fma" level is tolerant —
-// its axpy is not bit-identical to generic — and is gated behind the
-// SetTolerance opt-in by the dispatch layer.
+// epilogue, pooling and rasteriser rows.
 func archKernels() map[string]kernelImpl {
 	ks := map[string]kernelImpl{
 		"sse": {
@@ -345,16 +314,6 @@ func archKernels() map[string]kernelImpl {
 			addClamp: addClampRowAVX2,
 		}
 	}
-	if hasFMA() {
-		ks["fma"] = kernelImpl{
-			axpy:     axpyQuadFMA,
-			epilogue: epilogueRowAVX2,
-			pool2:    maxPool2RowAVX2,
-			fill:     fillRowAVX2,
-			addClamp: addClampRowAVX2,
-			tolerant: true,
-		}
-	}
 	if hasAVX512() {
 		ks["avx512"] = kernelImpl{
 			axpy:     axpyQuadAVX512,
@@ -367,8 +326,7 @@ func archKernels() map[string]kernelImpl {
 	return ks
 }
 
-// defaultKernelName selects the widest available bit-exact level; the
-// tolerant fma level is never a default.
+// defaultKernelName selects the widest available level.
 func defaultKernelName() string {
 	if hasAVX512() {
 		return "avx512"

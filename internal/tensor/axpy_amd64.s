@@ -413,94 +413,6 @@ z16tailloop:
 z16done:
 	RET
 
-// func axpyFMA8(d0, d1, d2, d3, b *float32, n int, v0, v1, v2, v3 float32)
-//
-// FMA variant of axpy8: VFMADD231PS fuses the multiply and add into one
-// instruction with a single rounding, so outputs are NOT bit-identical to
-// the mul-then-add kernels — each accumulation step skips the
-// intermediate product rounding. Only reachable through the explicit
-// SetTolerance/VMQ_KERNEL=fma opt-in; the correctness suite bounds the
-// divergence in ULPs against an exactly-fused reference instead of
-// asserting bit equality. The scalar tail uses VFMADD231SS so every
-// element, lane or tail, sees the same one-rounding sequence.
-TEXT ·axpyFMA8(SB), NOSPLIT, $0-64
-	MOVQ         d0+0(FP), R8
-	MOVQ         d1+8(FP), R9
-	MOVQ         d2+16(FP), R10
-	MOVQ         d3+24(FP), R11
-	MOVQ         b+32(FP), BX
-	MOVQ         n+40(FP), CX
-	VBROADCASTSS v0+48(FP), Y0
-	VBROADCASTSS v1+52(FP), Y1
-	VBROADCASTSS v2+56(FP), Y2
-	VBROADCASTSS v3+60(FP), Y3
-
-	CMPQ CX, $8
-	JL   fma8tail
-
-fma8loop:
-	VMOVUPS (BX), Y4
-
-	VMOVUPS     (R8), Y6
-	VFMADD231PS Y0, Y4, Y6
-	VMOVUPS     Y6, (R8)
-
-	VMOVUPS     (R9), Y6
-	VFMADD231PS Y1, Y4, Y6
-	VMOVUPS     Y6, (R9)
-
-	VMOVUPS     (R10), Y6
-	VFMADD231PS Y2, Y4, Y6
-	VMOVUPS     Y6, (R10)
-
-	VMOVUPS     (R11), Y6
-	VFMADD231PS Y3, Y4, Y6
-	VMOVUPS     Y6, (R11)
-
-	ADDQ $32, BX
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
-	SUBQ $8, CX
-	CMPQ CX, $8
-	JGE  fma8loop
-
-fma8tail:
-	VZEROUPPER
-	CMPQ CX, $0
-	JLE  fma8done
-
-fma8tailloop:
-	MOVSS (BX), X4
-
-	MOVSS       (R8), X6
-	VFMADD231SS X0, X4, X6
-	MOVSS       X6, (R8)
-
-	MOVSS       (R9), X6
-	VFMADD231SS X1, X4, X6
-	MOVSS       X6, (R9)
-
-	MOVSS       (R10), X6
-	VFMADD231SS X2, X4, X6
-	MOVSS       X6, (R10)
-
-	MOVSS       (R11), X6
-	VFMADD231SS X3, X4, X6
-	MOVSS       X6, (R11)
-
-	ADDQ $4, BX
-	ADDQ $4, R8
-	ADDQ $4, R9
-	ADDQ $4, R10
-	ADDQ $4, R11
-	DECQ CX
-	JG   fma8tailloop
-
-fma8done:
-	RET
-
 // func bias16(seg *float32, n int, b float32)
 //
 // seg[i] += b, sixteen lanes at a time. n must be a positive multiple of

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 )
 
@@ -12,7 +13,6 @@ import (
 // bit-identical, which is what keeps the batched inference path
 // result-identical to the sequential reference at the engine level.
 func TestMatMulIntoMatchesNaive(t *testing.T) {
-	ensureBitExact(t)
 	rng := rand.New(rand.NewPCG(11, 0))
 	for trial := 0; trial < 40; trial++ {
 		m := 1 + rng.IntN(70)
@@ -34,9 +34,25 @@ func TestMatMulIntoMatchesNaive(t *testing.T) {
 		dirty := New(m, n)
 		dirty.Fill(999)
 		requireBitEqual(t, "MatMulInto reuse", MatMulInto(dirty, a, b), want)
-		for workers := 1; workers <= 5; workers++ {
-			requireBitEqual(t, "MatMulParallel", MatMulParallel(nil, a, b, workers), want)
-		}
+	}
+}
+
+// The GEMM runs on the calling goroutine whatever the worker argument and
+// processor count, so a multiply into a preallocated dst allocates
+// nothing: no goroutines, no wait group, no closures.
+func TestMatMulBiasActAllocFree(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	a, b := New(16, 144), New(144, 4096)
+	rng := rand.New(rand.NewPCG(13, 0))
+	a.RandN(rng, 1)
+	b.RandN(rng, 1)
+	bias := make([]float32, 16)
+	dst := New(16, 4096)
+	allocs := testing.AllocsPerRun(5, func() {
+		MatMulBiasAct(dst, a, b, bias, ActLeakyReLU, 0.1, 0)
+	})
+	if allocs != 0 {
+		t.Fatalf("MatMulBiasAct into a preallocated dst: %.1f allocs per call, want 0", allocs)
 	}
 }
 
@@ -54,9 +70,8 @@ func requireBitEqual(t *testing.T, label string, got, want *Tensor) {
 
 // Property test for the whole batched convolution lowering: for random
 // batch sizes, channel counts, spatial sizes, kernels, strides and
-// paddings, Im2ColBatchInto + the parallel blocked GEMM must match the
-// direct Conv2DNaive reference on every frame of the batch. Run under
-// -race this also proves the column-partitioned workers never overlap.
+// paddings, Im2ColBatchInto + the blocked GEMM must match the direct
+// Conv2DNaive reference on every frame of the batch.
 func TestBatchedConvMatchesNaivePerFrame(t *testing.T) {
 	rng := rand.New(rand.NewPCG(12, 0))
 	for trial := 0; trial < 30; trial++ {
@@ -89,11 +104,11 @@ func TestBatchedConvMatchesNaivePerFrame(t *testing.T) {
 		bias := New(outC)
 		bias.RandN(rng, 0.5)
 
-		// Batched path: im2col into a dirty scratch, one parallel GEMM.
+		// Batched path: im2col into a dirty scratch, one GEMM.
 		cols := New(c*kk*kk, batch*oh*ow)
 		cols.Fill(7)
 		Im2ColBatchInto(cols, fm, p)
-		out := MatMulParallel(nil, weights.Reshape(outC, c*kk*kk), cols, 4)
+		out := MatMulInto(nil, weights.Reshape(outC, c*kk*kk), cols)
 		for o := 0; o < outC; o++ {
 			row := out.Data[o*batch*oh*ow : (o+1)*batch*oh*ow]
 			for i := range row {

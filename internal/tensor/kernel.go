@@ -25,15 +25,6 @@ import (
 // batched and coalesced inference paths keep their result-identity
 // guarantees no matter which machine they land on.
 //
-// One level deliberately breaks that contract: "fma" fuses each
-// multiply-add pair into a single correctly-rounded operation
-// (VFMADD231PS), dropping the intermediate product rounding. It is faster
-// and usually more accurate, but not bit-identical, so it is never
-// auto-selected and cannot be pinned without an explicit opt-in: call
-// SetTolerance with a positive ULP budget first (VMQ_KERNEL=fma counts as
-// that opt-in and sets a budget of 1). Its correctness suite asserts a ULP
-// bound against an exactly-fused reference instead of bit equality.
-//
 // The VMQ_KERNEL environment variable pins a kernel at start
 // (GODEBUG-style, for debugging and for CI to exercise the pure-Go path):
 //
@@ -49,11 +40,6 @@ var (
 	fillRow     = fillRowGeneric
 	addClampRow = addClampRowGeneric
 	kernelName  = "generic"
-
-	// kernelTolerance is the caller-declared ULP budget. Zero (the
-	// default) means "bit-exact results required", which hides the
-	// tolerant levels from selection entirely.
-	kernelTolerance = 0
 )
 
 // kernelImpl bundles one instruction-set level's micro-kernels.
@@ -63,16 +49,10 @@ type kernelImpl struct {
 	pool2    func(dst, r0, r1 []float32)
 	fill     func(dst []float32, v float32)
 	addClamp func(dst, add []float32)
-
-	// tolerant marks levels whose arithmetic is not bit-identical to
-	// generic (fused multiply-add). Selecting one requires a positive
-	// SetTolerance budget, and defaultKernelName never picks one.
-	tolerant bool
 }
 
-// kernelTable lists the kernels this process can select right now: generic
-// everywhere, plus whatever archKernels detects on this CPU — minus the
-// tolerant levels while no ULP budget is in effect.
+// kernelTable lists the kernels this process can select: generic
+// everywhere, plus whatever archKernels detects on this CPU.
 func kernelTable() map[string]kernelImpl {
 	ks := map[string]kernelImpl{"generic": {
 		axpy:     axpyQuadGeneric,
@@ -82,42 +62,26 @@ func kernelTable() map[string]kernelImpl {
 		addClamp: addClampRowGeneric,
 	}}
 	for name, impl := range archKernels() {
-		if impl.tolerant && kernelTolerance <= 0 {
-			continue
-		}
 		ks[name] = impl
 	}
 	return ks
 }
 
 // pickKernel resolves the startup kernel level from a VMQ_KERNEL value. A
-// valid env value pins that level (a tolerant level counts as the explicit
-// opt-in and returns the default ULP budget of 1); an unknown or
-// unavailable value falls back to the CPU default and returns a one-line
-// warning naming every level this CPU offers.
-func pickKernel(env string) (name string, ulps int, warning string) {
+// valid env value pins that level; an unknown or unavailable value falls
+// back to the CPU default and returns a one-line warning naming every
+// level this CPU offers.
+func pickKernel(env string) (name string, warning string) {
 	name = defaultKernelName()
 	if env == "" {
-		return name, 0, ""
+		return name, ""
 	}
-	if impl, ok := archKernels()[env]; ok {
-		if impl.tolerant {
-			return env, 1, ""
-		}
-		return env, 0, ""
+	if _, ok := kernelTable()[env]; ok {
+		return env, ""
 	}
-	if env == "generic" {
-		return "generic", 0, ""
-	}
-	avail := make([]string, 0, 8)
-	avail = append(avail, "generic")
-	for n := range archKernels() {
-		avail = append(avail, n)
-	}
-	sort.Strings(avail)
 	warning = fmt.Sprintf("vmq/tensor: VMQ_KERNEL=%q is unknown or unavailable on this CPU; using %q (available: %s)",
-		env, name, strings.Join(avail, ", "))
-	return name, 0, warning
+		env, name, strings.Join(Kernels(), ", "))
+	return name, warning
 }
 
 func init() {
@@ -128,26 +92,20 @@ func init() {
 // unknown-value warning (if any) to warn. Factored out of init so tests
 // can drive it with a buffer.
 func initKernel(env string, warn io.Writer) {
-	name, ulps, warning := pickKernel(env)
+	name, warning := pickKernel(env)
 	if warning != "" {
 		fmt.Fprintln(warn, warning)
-	}
-	if ulps > 0 {
-		SetTolerance(ulps)
 	}
 	if err := SetKernel(name); err != nil {
 		panic(err) // unreachable: name came from the table
 	}
 }
 
-// Kernel reports the active micro-kernel level ("generic", "sse", "avx2",
-// "avx512" or — under a tolerance opt-in — "fma").
+// Kernel reports the active micro-kernel level ("generic", "sse", "avx2"
+// or "avx512").
 func Kernel() string { return kernelName }
 
-// Kernels lists the kernel levels selectable on this CPU right now,
-// sorted. Tolerant levels (fma) appear only while a positive SetTolerance
-// budget is in effect — without the opt-in they are not selectable and so
-// not listed.
+// Kernels lists the kernel levels selectable on this CPU, sorted.
 func Kernels() []string {
 	names := make([]string, 0, 5)
 	for name := range kernelTable() {
@@ -160,14 +118,10 @@ func Kernels() []string {
 // SetKernel pins the micro-kernel level for this process — a debugging and
 // testing hook, not a hot-path switch: it must not race a running GEMM.
 // It returns an error (and changes nothing) if the level is unknown or
-// unavailable on this CPU, or if it is a tolerant level (fma) and no
-// SetTolerance budget is in effect.
+// unavailable on this CPU.
 func SetKernel(name string) error {
 	impl, ok := kernelTable()[name]
 	if !ok {
-		if locked, present := archKernels()[name]; present && locked.tolerant {
-			return fmt.Errorf("tensor: kernel %q is not bit-exact (fused multiply-add); opt in with SetTolerance or VMQ_KERNEL=%s first", name, name)
-		}
 		return fmt.Errorf("tensor: unknown kernel %q (available: %v)", name, Kernels())
 	}
 	axpyQuad = impl.axpy
@@ -179,32 +133,6 @@ func SetKernel(name string) error {
 	return nil
 }
 
-// SetTolerance declares how many float32 ULPs of divergence from the
-// bit-exact kernels the caller accepts, and returns the previous budget.
-// A positive budget unlocks the tolerant kernel levels (fma) for SetKernel
-// and lists them in Kernels; it never switches kernels by itself. Setting
-// the budget back to zero re-imposes the bit-exactness contract: if a
-// tolerant kernel is active it is replaced by the default bit-exact level.
-// Like SetKernel, this is a configuration hook, not a hot-path switch.
-func SetTolerance(ulps int) int {
-	prev := kernelTolerance
-	if ulps < 0 {
-		ulps = 0
-	}
-	kernelTolerance = ulps
-	if ulps == 0 {
-		if impl, ok := archKernels()[kernelName]; ok && impl.tolerant {
-			if err := SetKernel(defaultKernelName()); err != nil {
-				panic(err) // unreachable: default is always in the table
-			}
-		}
-	}
-	return prev
-}
-
-// Tolerance reports the current ULP budget (0 = bit-exact required).
-func Tolerance() int { return kernelTolerance }
-
 // Fill sets every element of dst to v through the active kernel level's
 // row-fill primitive. All levels produce identical bytes (a fill has no
 // arithmetic); the rasteriser's background and rectangle fills route
@@ -213,6 +141,6 @@ func Fill(dst []float32, v float32) { fillRow(dst, v) }
 
 // AddClamp01 computes dst[i] = clamp(dst[i]+add[i]) into [0, 1] with the
 // scalar select order (add, then low clamp, then high clamp; NaN passes
-// through). All non-tolerant levels are bit-identical to generic; the
+// through). All levels are bit-identical to generic; the
 // rasteriser's sensor-noise epilogue routes through here.
 func AddClamp01(dst, add []float32) { addClampRow(dst, add) }

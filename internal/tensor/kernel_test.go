@@ -10,8 +10,7 @@ import (
 // withEveryKernel runs f once per kernel level selectable on this CPU,
 // restoring the auto-selected kernel afterwards. On amd64 this covers
 // generic + sse (+ avx2/avx512 on modern hardware); elsewhere generic
-// only. The tolerant fma level never appears here (these are the
-// bit-exactness suites; fma is hidden while Tolerance() == 0).
+// only.
 func withEveryKernel(t *testing.T, f func(t *testing.T, kernel string)) {
 	t.Helper()
 	prev := Kernel()
@@ -21,35 +20,10 @@ func withEveryKernel(t *testing.T, f func(t *testing.T, kernel string)) {
 		}
 	}()
 	for _, name := range Kernels() {
-		if impl, ok := archKernels()[name]; ok && impl.tolerant {
-			// A process-wide opt-in (VMQ_KERNEL=fma) lists the tolerant
-			// level; it has its own ULP-bound suite and must not join
-			// the bit-exactness runs.
-			continue
-		}
 		if err := SetKernel(name); err != nil {
 			t.Fatal(err)
 		}
 		f(t, name)
-	}
-}
-
-// ensureBitExact pins the default bit-exact kernel for the duration of a
-// test that compares exactly against a naive reference, in case the
-// process was started with the VMQ_KERNEL=fma opt-in (whose arithmetic is
-// deliberately not bit-identical).
-func ensureBitExact(t *testing.T) {
-	t.Helper()
-	if impl, ok := archKernels()[Kernel()]; ok && impl.tolerant {
-		prev := Kernel()
-		if err := SetKernel(defaultKernelName()); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() {
-			if err := SetKernel(prev); err != nil {
-				t.Error(err)
-			}
-		})
 	}
 }
 
@@ -232,151 +206,12 @@ func TestFillAddClampVariantsBitIdentical(t *testing.T) {
 	}
 }
 
-// orderedBits maps float32 bit patterns onto a line where adjacent
-// representable values differ by 1, so ULP distances are plain integer
-// differences. +0 and -0 map to the same point.
-func orderedBits(f float32) int64 {
-	u := int64(math.Float32bits(f))
-	if u&0x80000000 != 0 {
-		u = 0x80000000 - u
-	}
-	return u
-}
-
-func ulpDiff(a, b float32) int64 {
-	if a == b {
-		return 0
-	}
-	d := orderedBits(a) - orderedBits(b)
-	if d < 0 {
-		d = -d
-	}
-	return d
-}
-
-// The fma level is explicitly not bit-exact, so its suite asserts a ULP
-// bound instead of bit equality: every accumulator element must land
-// within 1 ULP of an exactly-fused float64 reference (math.FMA rounded to
-// float32 — itself within 1 ULP of the correctly rounded float32 fused
-// result, from double rounding).
-func TestFMAAxpyWithinULPBound(t *testing.T) {
-	if _, ok := archKernels()["fma"]; !ok {
-		t.Skip("no fma kernel level on this CPU")
-	}
-	prevK := Kernel()
-	prevTol := SetTolerance(2)
-	defer func() {
-		if err := SetKernel(prevK); err != nil {
-			t.Error(err)
-		}
-		SetTolerance(prevTol)
-	}()
-	if err := SetKernel("fma"); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewPCG(45, 0))
-	for n := 0; n <= 67; n++ {
-		b := make([]float32, n)
-		awkwardFloats(rng, b)
-		d := make([][]float32, 4)
-		for r := range d {
-			d[r] = make([]float32, n)
-			awkwardFloats(rng, d[r])
-		}
-		vs := [4]float32{float32(rng.NormFloat64()), 0, float32(math.Copysign(0, -1)), float32(rng.NormFloat64())}
-
-		want := make([][]float32, 4)
-		for r := range want {
-			want[r] = make([]float32, n)
-			for j := range want[r] {
-				want[r][j] = float32(math.FMA(float64(vs[r]), float64(b[j]), float64(d[r][j])))
-			}
-		}
-		got := make([][]float32, 4)
-		for r := range got {
-			got[r] = append([]float32(nil), d[r]...)
-		}
-		axpyQuad(got[0], got[1], got[2], got[3], b, vs[0], vs[1], vs[2], vs[3])
-		for r := range got {
-			for j := range got[r] {
-				if diff := ulpDiff(got[r][j], want[r][j]); diff > 2 {
-					t.Fatalf("fma axpy n=%d row %d elem %d: %g (%#x) is %d ULPs from fused reference %g (%#x)",
-						n, r, j, got[r][j], math.Float32bits(got[r][j]), diff,
-						want[r][j], math.Float32bits(want[r][j]))
-				}
-			}
-		}
-	}
-}
-
-// The fma level must be unreachable without the explicit tolerance opt-in:
-// hidden from Kernels(), rejected by SetKernel with a pointer at the
-// opt-in, unlocked by SetTolerance > 0, and evicted (falling back to the
-// bit-exact default) when the budget is withdrawn.
-func TestToleranceGatesFMA(t *testing.T) {
-	prevK := Kernel()
-	prevTol := Tolerance()
-	defer func() {
-		SetTolerance(prevTol)
-		if err := SetKernel(prevK); err != nil {
-			t.Error(err)
-		}
-	}()
-
-	SetTolerance(0)
-	for _, name := range Kernels() {
-		if name == "fma" {
-			t.Fatal("Kernels() lists fma with no tolerance budget in effect")
-		}
-	}
-	err := SetKernel("fma")
-	if err == nil {
-		t.Fatal("SetKernel(fma) succeeded without a tolerance opt-in")
-	}
-	if Kernel() == "fma" {
-		t.Fatal("rejected SetKernel still activated fma")
-	}
-	if _, ok := archKernels()["fma"]; !ok {
-		t.Skip("no fma kernel level on this CPU; gating of unavailable level verified")
-	}
-	if !strings.Contains(err.Error(), "SetTolerance") {
-		t.Fatalf("gating error should point at the opt-in, got: %v", err)
-	}
-
-	if prev := SetTolerance(3); prev != 0 {
-		t.Fatalf("SetTolerance returned stale previous budget %d", prev)
-	}
-	if Tolerance() != 3 {
-		t.Fatalf("Tolerance() = %d after SetTolerance(3)", Tolerance())
-	}
-	found := false
-	for _, name := range Kernels() {
-		found = found || name == "fma"
-	}
-	if !found {
-		t.Fatal("Kernels() does not list fma under a positive tolerance budget")
-	}
-	if err := SetKernel("fma"); err != nil {
-		t.Fatal(err)
-	}
-	if Kernel() != "fma" {
-		t.Fatalf("Kernel() = %q after SetKernel(fma)", Kernel())
-	}
-
-	SetTolerance(0)
-	if Kernel() != defaultKernelName() {
-		t.Fatalf("withdrawing the budget left kernel %q; want bit-exact default %q", Kernel(), defaultKernelName())
-	}
-}
-
 // An unknown or unavailable VMQ_KERNEL value must fall back to the default
 // level with a single warning line naming the available levels; valid
-// values (including the fma opt-in) select silently.
+// values select silently. The retired fma level is an unknown value.
 func TestVMQKernelStartupSelection(t *testing.T) {
 	prevK := Kernel()
-	prevTol := Tolerance()
 	defer func() {
-		SetTolerance(prevTol)
 		if err := SetKernel(prevK); err != nil {
 			t.Error(err)
 		}
@@ -409,19 +244,13 @@ func TestVMQKernelStartupSelection(t *testing.T) {
 		t.Fatalf("VMQ_KERNEL=generic: kernel %q, warning %q", Kernel(), buf.String())
 	}
 
-	if _, ok := archKernels()["fma"]; ok {
-		buf.Reset()
-		SetTolerance(0)
-		initKernel("fma", &buf)
-		if buf.Len() != 0 {
-			t.Fatalf("VMQ_KERNEL=fma warned despite being available: %q", buf.String())
-		}
-		if Kernel() != "fma" {
-			t.Fatalf("VMQ_KERNEL=fma selected %q", Kernel())
-		}
-		if Tolerance() < 1 {
-			t.Fatal("VMQ_KERNEL=fma did not establish a tolerance budget")
-		}
+	buf.Reset()
+	initKernel("fma", &buf)
+	if Kernel() != defaultKernelName() {
+		t.Fatalf("VMQ_KERNEL=fma selected %q; want default %q", Kernel(), defaultKernelName())
+	}
+	if !strings.Contains(buf.String(), `VMQ_KERNEL="fma" is unknown or unavailable`) {
+		t.Fatalf("VMQ_KERNEL=fma should take the unknown-value warning path, got %q", buf.String())
 	}
 }
 
