@@ -2,9 +2,9 @@
 //
 // The example watches the Jackson stream for the paper's q5 event —
 // exactly one car and one person with the car left of the person — and
-// uses the IoU tracker to report each *episode* (a maximal run of
-// qualifying frames for the same car) rather than every frame, the way a
-// real surveillance deployment would raise alerts.
+// reports each *episode* (a maximal run of qualifying frames for the same
+// car, keyed on the detector's track id) rather than every frame, the way
+// a real surveillance deployment would raise alerts.
 //
 //	go run ./examples/trafficwatch
 package main
@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"vmq"
-	"vmq/internal/track"
 )
 
 // episode is a maximal run of qualifying frames for one tracked car.
@@ -39,9 +38,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	const n = 6000 // ~3m20s of 30fps video
-	const gap = 15 // frames of silence that close an episode (0.5 s)
-	tracker := track.New()
+	const n = 6000             // ~3m20s of 30fps video
+	const gap = 15             // frames of silence that close an episode (0.5 s)
 	open := map[int]*episode{} // car track id -> open episode
 	var episodes []episode
 	matched, detectorCalls := 0, 0
@@ -60,22 +58,21 @@ func main() {
 		if plan.Where != nil && !plan.Where.EvalFilter(out, f.Bounds, sess.Tol) {
 			continue
 		}
-		// Confirmation stage: detector, exact predicate, tracking.
+		// Confirmation stage: detector and exact predicate.
 		dets := sess.Detector.Detect(f)
 		detectorCalls++
-		ids := tracker.Update(dets)
 		if plan.Where != nil && !plan.Where.EvalExact(dets, f.Bounds) {
 			continue
 		}
 		matched++
-		for j, d := range dets {
+		for _, d := range dets {
 			if d.Class != vmq.Car {
 				continue
 			}
-			if ep, ok := open[ids[j]]; ok {
+			if ep, ok := open[d.TrackID]; ok {
 				ep.end = i
 			} else {
-				open[ids[j]] = &episode{carTrack: ids[j], start: i, end: i}
+				open[d.TrackID] = &episode{carTrack: d.TrackID, start: i, end: i}
 			}
 		}
 	}

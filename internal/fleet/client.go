@@ -181,9 +181,9 @@ func (sh *shard) probe(ctx context.Context) (string, error) {
 	return hr.Status, nil
 }
 
-// metricsLoad fetches the shard's /metrics worker_shares and sums the
-// EWMA scan rates — the rate_fps-weighted load signal the router
-// aggregates per shard.
+// metricsLoad fetches the shard's /metrics feed rows and sums dispatch
+// rates and query counts over the feeds with live queries — the load
+// signal the router aggregates per shard.
 func (sh *shard) metricsLoad(ctx context.Context) (ShardLoad, error) {
 	resp, err := sh.do(ctx, http.MethodGet, "/v1/metrics", nil, "")
 	if err != nil {
@@ -194,35 +194,33 @@ func (sh *shard) metricsLoad(ctx context.Context) (ShardLoad, error) {
 		return ShardLoad{}, fmt.Errorf("metrics: HTTP %d", resp.StatusCode)
 	}
 	var m struct {
-		WorkerShares []struct {
-			Feed    string  `json:"feed"`
-			Workers int     `json:"workers"`
-			Queries int     `json:"queries"`
-			RateFPS float64 `json:"rate_fps"`
-		} `json:"worker_shares"`
+		Feeds []struct {
+			FramesPerSec float64 `json:"frames_per_sec"`
+			Queries      int     `json:"queries"`
+		} `json:"feeds"`
 	}
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&m); err != nil {
 		return ShardLoad{}, err
 	}
 	var load ShardLoad
-	for _, ws := range m.WorkerShares {
+	for _, f := range m.Feeds {
+		if f.Queries == 0 {
+			continue
+		}
 		load.Feeds++
-		load.Workers += ws.Workers
-		load.Queries += ws.Queries
-		load.RateFPS += ws.RateFPS
+		load.Queries += f.Queries
+		load.RateFPS += f.FramesPerSec
 	}
 	return load, nil
 }
 
-// ShardLoad is one shard's aggregated worker_shares snapshot.
+// ShardLoad is one shard's load, summed over its feeds with live queries.
 type ShardLoad struct {
-	// Feeds counts feeds holding a worker share (live queries attached).
+	// Feeds counts feeds with at least one live query.
 	Feeds int `json:"feeds"`
-	// Workers is the shard's filter workers across those feeds.
-	Workers int `json:"workers"`
 	// Queries is the live query count across those feeds.
 	Queries int `json:"queries"`
-	// RateFPS sums the per-feed EWMA scan rates — observed load, not
-	// feed count, so an idle feed weighs nothing.
+	// RateFPS sums those feeds' dispatch rates — observed load, not feed
+	// count, so an idle feed weighs nothing.
 	RateFPS float64 `json:"rate_fps"`
 }

@@ -660,9 +660,9 @@ type ShardMetrics struct {
 	Relays   int64 `json:"relays"`
 	RelaySeq int64 `json:"relay_seq"`
 	Resumes  int64 `json:"resumes"`
-	// Load is the rate_fps-weighted share signal from the shard's own
-	// /metrics worker_shares (absent when the shard was unreachable);
-	// LoadShare normalises RateFPS across reachable shards.
+	// Load sums the shard's own /metrics feed rows over feeds with live
+	// queries (absent when the shard was unreachable); LoadShare
+	// normalises RateFPS across reachable shards.
 	Load      *ShardLoad `json:"load,omitempty"`
 	LoadShare float64    `json:"load_share,omitempty"`
 }

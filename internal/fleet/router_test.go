@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -327,5 +328,64 @@ func TestRouterBreakerOpensOnDeadShard(t *testing.T) {
 	// prober saw the outage at all.
 	if sm.ProbeFailures < 1 {
 		t.Fatalf("probe_failures = %d, want >= 1", sm.ProbeFailures)
+	}
+}
+
+// TestRouterLoadRows: the router's per-shard load sums each shard's feed
+// rows over feeds with live queries — an idle feed counts for nothing —
+// and load_share normalises across the reachable shards.
+func TestRouterLoadRows(t *testing.T) {
+	d := newShardDirectory()
+	sa := startShard(t, d, "alpha", "", server.Config{})
+	sb := startShard(t, d, "beta", "", server.Config{})
+	defer sa.srv.Close()
+	defer sb.srv.Close()
+	defer sa.ts.Close()
+	defer sb.ts.Close()
+
+	rt, rts := startRouter(t, testRouterConfig(d, sa, sb))
+
+	taken := map[string]bool{}
+	busy := feedOwnedBy(t, rt.ring, "alpha", taken)
+	quiet := feedOwnedBy(t, rt.ring, "alpha", taken)
+	idle := feedOwnedBy(t, rt.ring, "alpha", taken)
+	solo := feedOwnedBy(t, rt.ring, "beta", taken)
+	for _, feed := range []string{busy, quiet, idle, solo} {
+		createFeedVia(t, rts.URL, map[string]any{
+			"name": feed, "profile": "jackson", "source": "sim", "fps": 200, "max_frames": 1 << 20,
+		})
+	}
+	drop := map[string]any{"policy": "drop-oldest"}
+	for _, feed := range []string{busy, busy, quiet, solo} {
+		registerVia(t, rts.URL, "SELECT FRAMES FROM "+feed+" WHERE COUNT(car) >= 0", drop)
+	}
+
+	want := map[string]struct{ feeds, queries int }{"alpha": {2, 3}, "beta": {1, 1}}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		m := routerMetricsOf(t, rts.URL)
+		settled := len(m.Shards) == len(want)
+		var sum float64
+		for _, sm := range m.Shards {
+			w := want[sm.Name]
+			if sm.Load == nil || sm.Load.Feeds != w.feeds || sm.Load.Queries != w.queries || sm.Load.RateFPS == 0 {
+				settled = false
+				continue
+			}
+			sum += sm.LoadShare
+		}
+		if settled {
+			if math.Abs(sum-1) > 1e-9 {
+				t.Fatalf("load_share sums to %v, want 1; shards %+v", sum, m.Shards)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			for _, sm := range m.Shards {
+				t.Logf("shard %s load %+v share %v", sm.Name, sm.Load, sm.LoadShare)
+			}
+			t.Fatalf("shard loads never reached %+v", want)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }

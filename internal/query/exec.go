@@ -37,23 +37,6 @@ type Engine struct {
 	// the confirmation goroutine: if it blocks, the pipeline back-pressures
 	// exactly as a slow detector would. It must not mutate the frame.
 	Observe func(FrameObservation)
-	// Gate, when non-nil, bounds the filter stage's effective parallelism
-	// dynamically: each chunk evaluation holds one slot for its duration.
-	// Unlike Workers — a cap fixed at RunStream start — a gate's capacity
-	// may change while the query runs, which is how the continuous-query
-	// server rebalances its GOMAXPROCS budget across feeds as queries
-	// register and retire. A gate never changes results, only how many
-	// chunks evaluate at once.
-	Gate WorkerGate
-}
-
-// WorkerGate is a resizable admission gate for the filter stage: Acquire
-// blocks until a slot is free, Release returns it. Implementations must
-// never admit fewer than one holder, so a gated pipeline always makes
-// progress.
-type WorkerGate interface {
-	Acquire()
-	Release()
 }
 
 // FrameObservation reports one frame's outcome as it leaves the engine's

@@ -26,12 +26,12 @@ type CameraFeed struct {
 type CameraResult struct {
 	CameraID string
 	Result   *Result
-	// Workers is the filter worker budget RunMulti granted this feed's
-	// engine: GOMAXPROCS divided across the fleet, floored at 1. With many
-	// feeds on few cores the budget silently degrades to one worker per
-	// feed, so the scheduling decision is surfaced here for the server's
-	// metrics endpoint and for tests to assert on. The engine may use
-	// fewer workers (a single-threaded backend always runs with one).
+	// Workers is the filter worker cap RunMulti gave this feed's engine:
+	// GOMAXPROCS divided across the fleet, floored at 1. With many feeds
+	// on few cores the cap silently degrades to one worker per feed, so
+	// the scheduling decision is surfaced here for callers and tests to
+	// assert on. The engine may use fewer workers (a single-threaded
+	// backend always runs with one).
 	Workers int
 }
 

@@ -82,7 +82,7 @@ func TestRunMultiMatchesSequential(t *testing.T) {
 	}
 }
 
-// RunMulti surfaces the per-feed filter worker budget it grants each
+// RunMulti surfaces the per-feed filter worker cap it gives each
 // engine: an equal share of GOMAXPROCS, floored at one worker per feed.
 func TestRunMultiSurfacesWorkerBudget(t *testing.T) {
 	p := video.Jackson()

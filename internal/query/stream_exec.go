@@ -64,14 +64,6 @@ func (e *Engine) RunStream(plan *Plan, src stream.Source, n int) *Result {
 			workers = e.Workers
 		}
 	}
-	// With a gate the pool is spawned wide and the gate bounds how many
-	// workers evaluate at once: capacity changes (the server rebalancing
-	// its budget across feeds) take effect mid-run, which a fixed pool
-	// size cannot.
-	gate := e.Gate
-	if workers == 1 {
-		gate = nil // a serial stage needs no admission control
-	}
 	chunkSize := e.ChunkSize
 	if chunkSize <= 0 {
 		chunkSize = defaultChunkSize
@@ -147,14 +139,8 @@ func (e *Engine) RunStream(plan *Plan, src stream.Source, n int) *Result {
 					filtered <- c
 					continue
 				}
-				if gate != nil {
-					gate.Acquire()
-				}
 				func() {
 					defer func() {
-						if gate != nil {
-							gate.Release()
-						}
 						if p := recover(); p != nil {
 							// A panicking backend poisons this query, not the
 							// process: latch the failure, void the verdicts,

@@ -258,80 +258,6 @@ func TestServerSpillServesFullHistory(t *testing.T) {
 	}
 }
 
-// The server-wide worker budget splits GOMAXPROCS-equivalents across
-// feeds with live monitoring queries and rebalances as they come and go.
-func TestServerWorkerBudgetRebalances(t *testing.T) {
-	pj, pd := video.Jackson(), video.Detrac()
-	srv := New(Config{WorkerBudget: 8})
-	for _, p := range []video.Profile{pj, pd} {
-		if err := srv.AddFeed(LiveFeed(p, 3)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	defer srv.Close()
-	srv.Start()
-
-	share := func(feed string) int {
-		t.Helper()
-		for _, fm := range srv.Metrics().Feeds {
-			if fm.Name == feed {
-				return fm.Workers
-			}
-		}
-		t.Fatalf("no feed %q in metrics", feed)
-		return 0
-	}
-
-	a, err := srv.Register(parse(t, `SELECT FRAMES FROM jackson WHERE COUNT(car) >= 0`), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go drain(a)
-	if got := share("jackson"); got != 8 {
-		t.Fatalf("lone feed's share = %d, want the whole budget 8", got)
-	}
-	if got := share("detrac"); got != 0 {
-		t.Fatalf("idle feed's share = %d, want 0", got)
-	}
-
-	b, err := srv.Register(parse(t, `SELECT FRAMES FROM detrac WHERE COUNT(car) >= 0`), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go drain(b)
-	if sj, sd := share("jackson"), share("detrac"); sj != 4 || sd != 4 {
-		t.Fatalf("two live feeds share %d/%d, want 4/4", sj, sd)
-	}
-	m := srv.Metrics()
-	if m.WorkerBudget != 8 || len(m.WorkerShares) != 2 {
-		t.Fatalf("budget snapshot = %d %+v", m.WorkerBudget, m.WorkerShares)
-	}
-
-	if err := srv.Unregister(b.ID()); err != nil {
-		t.Fatal(err)
-	}
-	if got := share("jackson"); got != 8 {
-		t.Fatalf("survivor's share after rebalance = %d, want 8", got)
-	}
-
-	// An unfiltered SELECT FRAMES runs no filter stage, so it must not
-	// join the budget: the filtered survivor keeps the whole budget.
-	c, err := srv.Register(parse(t, `SELECT FRAMES FROM detrac`), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go drain(c)
-	if sj, sd := share("jackson"), share("detrac"); sj != 8 || sd != 0 {
-		t.Fatalf("unfiltered query shifted the budget to %d/%d, want 8/0", sj, sd)
-	}
-	if err := srv.Unregister(c.ID()); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Unregister(a.ID()); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // MaxQueriesPerFeed rejects registrations beyond the limit with the
 // typed ErrFeedBusy, and frees the slot when a query unregisters.
 func TestServerFeedRegistrationLimit(t *testing.T) {

@@ -3,10 +3,8 @@ package server
 import (
 	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -465,65 +463,4 @@ func TestServerShutdownDrainsFeeds(t *testing.T) {
 	}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("AddFeed after Shutdown: err = %v, want ErrClosed", err)
 	}
-}
-
-// The budgeter weights shares by observed scan rate: unsampled feeds
-// split evenly, a dense feed outweighs a sparse one once sampled, a
-// newborn feed takes the mean sampled rate, and the EWMA folds new
-// samples rather than tracking them raw.
-func TestBudgeterWeightsSharesByScanRate(t *testing.T) {
-	var dense, sparse atomic.Int64
-	b := newBudgeter(8, 0) // tick 0: the test drives sampling by hand
-	gd := b.join("detrac", dense.Load)
-	gs := b.join("jackson", sparse.Load)
-	if gd.capacity() != 4 || gs.capacity() != 4 {
-		t.Fatalf("unsampled feeds split %d/%d, want 4/4", gd.capacity(), gs.capacity())
-	}
-
-	base := time.Now()
-	b.mu.Lock()
-	for _, fb := range b.feeds {
-		fb.lastAt, fb.lastFrames = base, 0
-	}
-	b.mu.Unlock()
-	dense.Store(900)
-	sparse.Store(100)
-	b.resampleAt(base.Add(time.Second))
-	// Weights 901:101 over 8 workers → 7/1 by largest remainder.
-	if gd.capacity() != 7 || gs.capacity() != 1 {
-		t.Fatalf("sampled split %d/%d, want 7/1", gd.capacity(), gs.capacity())
-	}
-	snap := b.snapshot()
-	if len(snap) != 2 || snap[0].Feed != "detrac" {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	if math.Abs(snap[0].RateFPS-900) > 1e-9 || math.Abs(snap[0].Weight-901) > 1e-9 {
-		t.Fatalf("detrac rate/weight = %v/%v, want 900/901", snap[0].RateFPS, snap[0].Weight)
-	}
-
-	// A newborn feed takes the mean sampled rate (500): between the two.
-	var mid atomic.Int64
-	gm := b.join("coral", mid.Load)
-	if !(gd.capacity() > gm.capacity() && gm.capacity() > gs.capacity()) {
-		t.Fatalf("newborn split dense/new/sparse = %d/%d/%d, want strictly ordered",
-			gd.capacity(), gm.capacity(), gs.capacity())
-	}
-	b.leave("coral")
-
-	// EWMA: the dense feed slows to 100 f/s for one second; the rate folds
-	// to 0.3*100 + 0.7*900 = 660, it does not snap to the instant rate.
-	dense.Store(1000)
-	sparse.Store(200)
-	b.resampleAt(base.Add(2 * time.Second))
-	snap = b.snapshot()
-	if math.Abs(snap[0].RateFPS-660) > 1e-9 {
-		t.Fatalf("EWMA rate = %v, want 660", snap[0].RateFPS)
-	}
-
-	// A feed losing its last query returns its share to the pool.
-	b.leave("detrac")
-	if gs.capacity() != 8 {
-		t.Fatalf("survivor holds %d workers after the dense feed left, want 8", gs.capacity())
-	}
-	b.stop()
 }

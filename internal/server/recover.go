@@ -76,8 +76,7 @@ func Recover(cfg Config) (*Server, error) {
 	}
 
 	// Queries in id order: earlier registrations re-register first, so
-	// admission limits and budget shares land the way they originally
-	// did.
+	// admission limits land the way they originally did.
 	ids := make([]string, 0, len(m.state.queries))
 	for id := range m.state.queries {
 		ids = append(ids, id)
@@ -323,7 +322,6 @@ func (s *Server) Crash() {
 		f.start()
 	}
 	s.wg.Wait()
-	s.budget.stop()
 	for _, r := range regs {
 		if r.spill != nil {
 			_ = r.spill.Close() // close the descriptor; keep the files

@@ -399,10 +399,9 @@ func (r *Registration) cancelSub() {
 }
 
 // finish closes the result log (consumers drain and end) and signals
-// Done. It runs after the runner's resource releases (worker budget,
-// backend refcounts, admission slots), so by the time Unregister or a
-// Done waiter proceeds the server's books are already rebalanced. The
-// spill file stays open so late consumers can still replay a finished
+// Done. It runs after the runner's resource releases (backend refcounts,
+// admission slots), so by the time Unregister or a Done waiter proceeds
+// the server's books are already balanced. The spill file stays open so late consumers can still replay a finished
 // query's history; it is closed when the registration leaves the
 // registry (closeSpill).
 func (r *Registration) finish() {

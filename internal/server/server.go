@@ -108,9 +108,6 @@ type Config struct {
 	// unlimited). Register returns ErrFeedBusy beyond it — admission
 	// control so one tenant cannot crowd a feed out.
 	MaxQueriesPerFeed int
-	// WorkerBudget is the server-wide filter worker budget split across
-	// feeds with live monitoring queries (default GOMAXPROCS).
-	WorkerBudget int
 	// SharedCacheCap caps each shared filter memo, in frames
 	// (default 4096).
 	SharedCacheCap int
@@ -200,7 +197,6 @@ type Server struct {
 	cfg      Config
 	birth    time.Time
 	broker   *sched.Broker // cross-feed inference coalescing (nil when disabled)
-	budget   *budgeter     // server-wide filter worker budget
 	manifest *manifest     // durable control-plane journal (nil unless built with Recover)
 	mu       sync.Mutex
 	feeds    map[string]*feed
@@ -233,7 +229,6 @@ func New(cfg Config) *Server {
 		regs:     make(map[string]*Registration),
 		liveRegs: make(map[string]int),
 	}
-	s.budget = newBudgeter(s.cfg.WorkerBudget, budgetTick)
 	if s.cfg.CoalesceBatch > 1 {
 		s.broker = sched.New(sched.Config{Batch: s.cfg.CoalesceBatch})
 	}
@@ -671,27 +666,17 @@ func (s *Server) register(q *vql.Query, opt Options, pin *recoveredQuery) (*Regi
 	} else {
 		// ChunkSize 1: a monitoring server exists to surface matches the
 		// moment they happen, so the pipeline must not sit on a partial
-		// chunk waiting for a paced feed to fill it. The worker gate is
-		// the feed's share of the server-wide budget, resized as feeds
-		// come and go — only filtered queries join: an unfiltered SELECT
-		// FRAMES runs no filter stage, so it must not shrink other
-		// feeds' shares for a gate it would never acquire.
+		// chunk waiting for a paced feed to fill it. The filter pool is
+		// RunStream's own: the feed's scan fills the shared memo once per
+		// frame, so the engine's filter workers mostly wait on it.
 		eng := &query.Engine{
 			Backend: backend, Detector: det, Tol: tol, ChunkSize: 1,
-		}
-		budgeted := plan.Where != nil
-		if budgeted {
-			eng.Gate = s.budget.join(f.name, f.fanout.Frames)
 		}
 		go func() {
 			defer s.wg.Done()
 			r.guard(func() { r.runMonitor(eng, opt.MaxFrames) })
 			// Release before signalling Done: whoever waited on the
-			// unregister sees the worker budget already rebalanced and
-			// the admission slot already free.
-			if budgeted {
-				s.budget.leave(f.name)
-			}
+			// unregister sees the admission slot already free.
 			release()
 			r.finish()
 			s.retire(id)
@@ -814,7 +799,6 @@ func (s *Server) Close() {
 		f.start() // a never-started pump still needs its Run to observe Stop and close subscriptions
 	}
 	s.wg.Wait()
-	s.budget.stop()
 	// Flush and close live registrations' spills (retire/Unregister cover
 	// their own paths); FileSpill buffers writes, so skipping this would
 	// drop buffered entries and leak the descriptor. A journaling server
@@ -838,10 +822,6 @@ type Metrics struct {
 	UptimeSeconds float64        `json:"uptime_seconds"`
 	Feeds         []FeedMetrics  `json:"feeds"`
 	Queries       []QueryMetrics `json:"queries"`
-	// WorkerBudget is the server-wide filter worker budget and its
-	// current split across feeds with live monitoring queries.
-	WorkerBudget int           `json:"worker_budget"`
-	WorkerShares []workerShare `json:"worker_shares,omitempty"`
 	// Coalesce reports the cross-feed inference broker's per-architecture
 	// groups (absent when coalescing is disabled or no coalescable
 	// backend is registered).
@@ -874,9 +854,6 @@ type FeedMetrics struct {
 	FramesPerSec float64 `json:"frames_per_sec"`
 	// Queries is the number of live subscriptions.
 	Queries int `json:"queries"`
-	// Workers is the feed's current share of the server-wide filter
-	// worker budget (0 while no monitoring query runs on it).
-	Workers int `json:"workers"`
 	// LastFrameUnixMs is when the pump last dispatched a frame (Unix
 	// milliseconds; 0 before the first frame) — the watchdog's input.
 	LastFrameUnixMs int64 `json:"last_frame_unix_ms,omitempty"`
@@ -981,16 +958,7 @@ func (s *Server) Metrics() Metrics {
 
 	m := Metrics{
 		UptimeSeconds: time.Since(s.birth).Seconds(),
-		WorkerBudget:  s.budget.total,
-		WorkerShares:  s.budget.snapshot(),
 		Coalesce:      s.broker.Metrics(),
-	}
-	// Per-feed Workers comes from the one snapshot above, so the two
-	// fields always agree even when a rebalance lands mid-Metrics (and
-	// the budget lock is taken once, not once per feed).
-	shares := make(map[string]int, len(m.WorkerShares))
-	for _, ws := range m.WorkerShares {
-		shares[ws.Feed] = ws.Workers
 	}
 	for _, f := range feeds {
 		fm := FeedMetrics{
@@ -998,7 +966,6 @@ func (s *Server) Metrics() Metrics {
 			State:   string(f.State()),
 			Frames:  f.fanout.Frames(),
 			Queries: f.fanout.Subscribers(),
-			Workers: shares[f.name],
 		}
 		fm.LastFrameUnixMs, fm.Stalled = f.stalledNow(s.cfg.StallAfter)
 		if f.push != nil {

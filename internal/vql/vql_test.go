@@ -175,14 +175,16 @@ func TestCmpOpEval(t *testing.T) {
 	}
 }
 
+// roundTripQueries re-print to text that parses to the same query.
+var roundTripQueries = []string{
+	`SELECT FRAMES FROM jackson WHERE COUNT(car) = 1 AND car LEFT OF person`,
+	`SELECT COUNT(FRAMES) FROM detrac WHERE car RIGHT OF bus WINDOW HOPPING (SIZE 1000, ADVANCE BY 2000)`,
+	`SELECT AVG(COUNT(person IN QUADRANT(LOWER LEFT))) FROM coral WHERE COUNT(*) >= 1`,
+	`SELECT FRAMES FROM x WHERE NOT COUNT(truck) > 0 OR car[red] IN RECT(1,2,3,4)`,
+}
+
 func TestRoundTrip(t *testing.T) {
-	queries := []string{
-		`SELECT FRAMES FROM jackson WHERE COUNT(car) = 1 AND car LEFT OF person`,
-		`SELECT COUNT(FRAMES) FROM detrac WHERE car RIGHT OF bus WINDOW HOPPING (SIZE 1000, ADVANCE BY 2000)`,
-		`SELECT AVG(COUNT(person IN QUADRANT(LOWER LEFT))) FROM coral WHERE COUNT(*) >= 1`,
-		`SELECT FRAMES FROM x WHERE NOT COUNT(truck) > 0 OR car[red] IN RECT(1,2,3,4)`,
-	}
-	for _, src := range queries {
+	for _, src := range roundTripQueries {
 		q1 := mustParse(t, src)
 		q2 := mustParse(t, q1.String())
 		if q1.String() != q2.String() {
@@ -202,30 +204,32 @@ func TestCaseInsensitiveKeywords(t *testing.T) {
 	}
 }
 
+// badQueries each fail to parse.
+var badQueries = []string{
+	"",
+	"SELECT",
+	"SELECT FRAMES",
+	"SELECT FRAMES FROM",
+	"SELECT FRAMES FROM x WHERE",
+	"SELECT FRAMES FROM x WHERE COUNT(",
+	"SELECT FRAMES FROM x WHERE COUNT(*) 3",
+	"SELECT FRAMES FROM x WHERE COUNT(*) = car",
+	"SELECT FRAMES FROM x WHERE car",
+	"SELECT FRAMES FROM x WHERE car LEFT person",
+	"SELECT FRAMES FROM x WHERE select LEFT OF car",
+	"SELECT FRAMES FROM x WHERE car IN QUADRANT(MIDDLE)",
+	"SELECT FRAMES FROM x WHERE car IN RECT(5,5,1,1)",
+	"SELECT FRAMES FROM x WHERE car IN RECT(1,2,3)",
+	"SELECT FRAMES FROM x WINDOW HOPPING (SIZE 0, ADVANCE BY 5)",
+	"SELECT FRAMES FROM x extra",
+	"SELECT BOGUS FROM x",
+	"SELECT FRAMES FROM x WHERE COUNT(*) ! 3",
+	"SELECT FRAMES FROM x WHERE car[red LEFT OF bus",
+	"SELECT AVG(COUNT(car) FROM x",
+}
+
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"SELECT",
-		"SELECT FRAMES",
-		"SELECT FRAMES FROM",
-		"SELECT FRAMES FROM x WHERE",
-		"SELECT FRAMES FROM x WHERE COUNT(",
-		"SELECT FRAMES FROM x WHERE COUNT(*) 3",
-		"SELECT FRAMES FROM x WHERE COUNT(*) = car",
-		"SELECT FRAMES FROM x WHERE car",
-		"SELECT FRAMES FROM x WHERE car LEFT person",
-		"SELECT FRAMES FROM x WHERE select LEFT OF car",
-		"SELECT FRAMES FROM x WHERE car IN QUADRANT(MIDDLE)",
-		"SELECT FRAMES FROM x WHERE car IN RECT(5,5,1,1)",
-		"SELECT FRAMES FROM x WHERE car IN RECT(1,2,3)",
-		"SELECT FRAMES FROM x WINDOW HOPPING (SIZE 0, ADVANCE BY 5)",
-		"SELECT FRAMES FROM x extra",
-		"SELECT BOGUS FROM x",
-		"SELECT FRAMES FROM x WHERE COUNT(*) ! 3",
-		"SELECT FRAMES FROM x WHERE car[red LEFT OF bus",
-		"SELECT AVG(COUNT(car) FROM x",
-	}
-	for _, src := range bad {
+	for _, src := range badQueries {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) unexpectedly succeeded", src)
 		}
