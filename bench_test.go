@@ -461,9 +461,9 @@ func (c *benchGEMMCounter) Evaluate(f *video.Frame) *filters.Output {
 // benchCoalesceFleet is the many-sparse-feeds workload of the cross-feed
 // broker benchmarks: benchCoalesceFeeds bounded feeds, each serving the
 // same trained OD architecture (separate instances, identical weights —
-// the fingerprint coalescing matches on) with one standing query, and
-// ScanBatch 2 so every feed flushes 2-frame micro-batches — the sparse
-// regime where per-feed batching degenerates to tiny GEMMs. Clips are
+// the fingerprint coalescing matches on) with one standing query. The
+// clips are recordings, so each feed is backlogged: its query's chunks
+// are the frames its subscription already holds, up to 32. Clips are
 // longer than the fan-out buffer so feeds genuinely overlap (broker
 // membership is taken at first submission; a clip that fits one buffer
 // can drain solo before the next feed starts).
@@ -522,39 +522,38 @@ func benchCoalesceFleet(b *testing.B, cfg server.Config) (framesPerSec, gemmCall
 	return total / b.Elapsed().Seconds(), float64(calls.Load()) / total
 }
 
-// BenchmarkServerCoalescedScan is the full PR-4 path: the cross-feed
-// broker merges the fleet's 2-frame flushes into one large GEMM per
-// size-or-deadline window, on the auto-dispatched (AVX2 where available)
-// kernels. Compare gemm-calls/frame against the per-feed baselines: 16
-// sparse feeds drop from a batch-of-2 GEMM dispatch each to a shared
-// ~1/32-per-frame dispatch, and frames/s rises accordingly.
+// BenchmarkServerCoalescedScan is the served path at default config: the
+// cross-feed broker merges whatever requests park while a run is in
+// flight, up to 32 frames, on the auto-dispatched (AVX2 where available)
+// kernels. With every feed backlogged most requests are already a full
+// 32-frame chunk, so the broker has little to merge; gemm-calls/frame
+// against the per-feed baseline shows how much it still saves.
 func BenchmarkServerCoalescedScan(b *testing.B) {
-	fps, calls := benchCoalesceFleet(b, server.Config{ScanBatch: 2})
+	fps, calls := benchCoalesceFleet(b, server.Config{})
 	b.ReportMetric(fps, "frames/s")
 	b.ReportMetric(calls, "gemm-calls/frame")
 }
 
 // BenchmarkServerPerFeedScan disables only the broker (CoalesceBatch 1):
-// every feed dispatches its own micro-batches, as in PR 3, but still on
-// the auto-dispatched kernels. The delta against BenchmarkServerCoalescedScan
-// isolates what cross-feed coalescing itself buys.
+// every query chunk runs its own GEMM, still on the auto-dispatched
+// kernels. The delta against BenchmarkServerCoalescedScan isolates what
+// cross-feed coalescing itself buys.
 func BenchmarkServerPerFeedScan(b *testing.B) {
-	fps, calls := benchCoalesceFleet(b, server.Config{ScanBatch: 2, CoalesceBatch: 1})
+	fps, calls := benchCoalesceFleet(b, server.Config{CoalesceBatch: 1})
 	b.ReportMetric(fps, "frames/s")
 	b.ReportMetric(calls, "gemm-calls/frame")
 }
 
-// BenchmarkServerPerFeedScanSSE pins the pre-PR system end to end:
-// per-feed micro-batches on the SSE-baseline kernel (the amd64 default
-// before runtime AVX2 dispatch landed). This is the configuration the
-// coalesced scan's headline speedup is measured against.
+// BenchmarkServerPerFeedScanSSE is BenchmarkServerPerFeedScan on the
+// SSE-baseline kernel (the amd64 default before runtime AVX2 dispatch
+// landed).
 func BenchmarkServerPerFeedScanSSE(b *testing.B) {
 	prev := tensor.Kernel()
 	if err := tensor.SetKernel("sse"); err != nil {
 		b.Skipf("SSE kernel unavailable: %v", err)
 	}
 	defer tensor.SetKernel(prev)
-	fps, calls := benchCoalesceFleet(b, server.Config{ScanBatch: 2, CoalesceBatch: 1})
+	fps, calls := benchCoalesceFleet(b, server.Config{CoalesceBatch: 1})
 	b.ReportMetric(fps, "frames/s")
 	b.ReportMetric(calls, "gemm-calls/frame")
 }

@@ -19,8 +19,9 @@ import (
 //
 // Shared is batch-aware: EvaluateBatch claims every uncached frame of the
 // batch in one pass and fills the memo with a single inner batch
-// evaluation, so the server's micro-batched shared scan pays batched GEMM
-// rates while individual per-frame lookups stay cheap hits.
+// evaluation, so a served query's chunk pays batched GEMM rates for the
+// frames it is first to reach while the other queries' lookups of the
+// same frames stay cheap hits.
 //
 // Entries are keyed by frame pointer (the fan-out tee delivers the same
 // *Frame to every subscriber) and evicted first-in-first-out once the

@@ -14,6 +14,12 @@ import (
 // only frames the filter cannot rule out are confirmed by the (expensive)
 // detector. A nil Backend disables filtering, yielding the brute-force
 // baseline that annotates every frame.
+//
+// RunStream hands the filter backend chunks of up to 32 frames. On a
+// source that reports the frames it already holds, a chunk takes only
+// those, or the next frame alone when it holds none, so the same engine
+// batches a backlog and streams a paced feed frame by frame; results are
+// identical for every chunking.
 type Engine struct {
 	Backend  filters.Backend
 	Detector detect.Detector
@@ -23,13 +29,6 @@ type Engine struct {
 	// engine (one engine per camera, say) set it lower so the fleet's
 	// total worker count still matches the machine.
 	Workers int
-	// ChunkSize sets RunStream's pipeline granularity in frames. 0 (the
-	// default) selects a batch-friendly 32; latency-sensitive callers
-	// (the continuous-query server streaming matches off a paced live
-	// feed) set 1 so a match is confirmed as soon as its frame arrives
-	// instead of after a full chunk accumulates. Results are identical
-	// for every chunk size.
-	ChunkSize int
 	// Observe, when non-nil, receives one FrameObservation per executed
 	// frame, in frame order, from the confirmation stage. It is how
 	// long-running callers (the continuous-query server) stream matches

@@ -18,16 +18,15 @@ import (
 // consecutive frames starting at stream index start. Chunking amortises
 // channel operations and lets backends batch via filters.EvaluateBatch.
 type streamChunk struct {
-	seq    int // chunk sequence number, for ordered reassembly
+	seq    int // chunk counter, for ordered reassembly
 	start  int // stream index of frames[0]
 	frames []*video.Frame
 	pass   []bool // filter verdicts, set by the filter stage
 }
 
-// defaultChunkSize balances channel overhead against pipeline latency:
-// large enough that per-chunk costs vanish next to filter evaluation,
-// small enough that the worker pool stays busy on short queries.
-// Engine.ChunkSize overrides it for latency-sensitive callers.
+// defaultChunkSize caps a chunk: large enough that per-chunk costs vanish
+// next to filter evaluation, small enough that the worker pool stays busy
+// on short queries.
 const defaultChunkSize = 32
 
 // RunStream executes a bound monitoring query over up to n frames pulled
@@ -36,8 +35,13 @@ const defaultChunkSize = 32
 //
 //	source -> filter workers (fan-out) -> reorder -> detector (in order)
 //
-// The source stage pulls frames and groups them into chunks; a pool of
-// filter workers (GOMAXPROCS-wide when the backend declares itself
+// The source stage pulls frames and groups them into chunks of up to
+// defaultChunkSize. On a source that reports how many frames it already
+// holds (a fan-out subscription) a chunk takes just those, or the next
+// frame alone when it holds none: a chunk never waits for frames that
+// have not arrived, so a paced feed confirms each match the moment its
+// frame does, while a backlog still fills whole chunks. A pool of filter
+// workers (GOMAXPROCS-wide when the backend declares itself
 // concurrency-safe, one otherwise) evaluates the filter stage; chunks are
 // reassembled in stream order; and the detector stage confirms surviving
 // frames sequentially on the caller's goroutine. All channels are
@@ -64,17 +68,13 @@ func (e *Engine) RunStream(plan *Plan, src stream.Source, n int) *Result {
 			workers = e.Workers
 		}
 	}
-	chunkSize := e.ChunkSize
-	if chunkSize <= 0 {
-		chunkSize = defaultChunkSize
-	}
 
 	// tokens bounds the chunks in flight between the source and the
 	// reorder stage. Without it a single stalled worker lets the others
 	// keep cycling: the reorder buffer would absorb every finished chunk
 	// while waiting for the stalled one, growing without bound. A token
 	// is taken per chunk read and returned when the chunk leaves the
-	// reorder stage, so total buffered memory stays O(workers·chunkSize)
+	// reorder stage, so total buffered memory stays O(workers·defaultChunkSize)
 	// no matter how unevenly the workers run.
 	maxInflight := 3*workers + 2
 	tokens := make(chan struct{}, maxInflight)
@@ -96,24 +96,26 @@ func (e *Engine) RunStream(plan *Plan, src stream.Source, n int) *Result {
 
 	// Stage 1: pull frames from the source and chunk them.
 	jobs := make(chan *streamChunk, workers)
+	held, ragged := src.(interface{ Depth() int })
 	go func() {
 		defer close(jobs)
-		for start := 0; start < n; start += chunkSize {
+		for seq, start := 0, 0; start < n; seq++ {
 			if failure.Load() != nil {
 				return // a stage faulted: stop feeding the pipeline
 			}
-			want := chunkSize
-			if rem := n - start; rem < want {
-				want = rem
-			}
 			tokens <- struct{}{}
+			want := min(defaultChunkSize, n-start)
+			if ragged {
+				want = min(want, max(1, held.Depth()))
+			}
 			frames := stream.Take(src, want)
 			if len(frames) > 0 {
-				jobs <- &streamChunk{seq: start / chunkSize, start: start, frames: frames}
+				jobs <- &streamChunk{seq: seq, start: start, frames: frames}
 			}
 			if len(frames) < want {
 				return // source exhausted
 			}
+			start += want
 		}
 	}()
 

@@ -2,7 +2,11 @@ package query
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
+	"sort"
+	"sync"
 	"testing"
 
 	"vmq/internal/detect"
@@ -87,12 +91,10 @@ func TestRunStreamMatchesSequential(t *testing.T) {
 			capped.Workers = 1
 			requireSameResult(t, "Workers=1",
 				capped.RunStream(plan, &stream.SliceSource{Frames: frames}, n), want)
-			// Nor does frame-at-a-time chunking (as the server uses for
-			// low-latency match streaming).
-			unchunked := mkEngine()
-			unchunked.ChunkSize = 1
-			requireSameResult(t, "ChunkSize=1",
-				unchunked.RunStream(plan, &stream.SliceSource{Frames: frames}, n), want)
+			// Nor does frame-at-a-time chunking (an idle served feed,
+			// whose subscription never holds a second frame).
+			requireSameResult(t, "chunks of one",
+				mkEngine().RunStream(plan, &raggedSource{frames: frames, depths: []int{0}}, n), want)
 		})
 	}
 }
@@ -115,14 +117,113 @@ func TestRunStreamBatchedTrainedMatchesSequential(t *testing.T) {
 		}
 	}
 	want := mk().RunSequential(plan, frames)
-	for _, chunk := range []int{0, 1, 7, 64} {
-		eng := mk()
-		eng.ChunkSize = chunk
-		got := eng.RunStream(plan, &stream.SliceSource{Frames: frames}, len(frames))
-		requireSameResult(t, "trained chunked", got, want)
+	requireSameResult(t, "trained whole chunks",
+		mk().RunStream(plan, &stream.SliceSource{Frames: frames}, len(frames)), want)
+	for _, depth := range []int{0, 6, 63} {
+		got := mk().RunStream(plan, &raggedSource{frames: frames, depths: []int{depth}}, len(frames))
+		requireSameResult(t, "trained ragged", got, want)
 	}
 	if want.FramesTotal != 150 {
 		t.Fatalf("FramesTotal = %d", want.FramesTotal)
+	}
+}
+
+// raggedSource serves frames from a slice and reports a scripted Depth,
+// the way a fan-out subscription reports the frames it already holds:
+// each call returns the next entry of depths, cycling. From cancelAt
+// frames on (when positive) Next reports the end of the stream, as a
+// subscription cancelled mid-chunk does.
+type raggedSource struct {
+	frames   []*video.Frame
+	depths   []int
+	cancelAt int
+	pos      int
+	calls    int
+}
+
+func (r *raggedSource) Next() (*video.Frame, bool) {
+	if r.pos == len(r.frames) || (r.cancelAt > 0 && r.pos == r.cancelAt) {
+		return nil, false
+	}
+	r.pos++
+	return r.frames[r.pos-1], true
+}
+
+func (r *raggedSource) Depth() int {
+	d := r.depths[r.calls%len(r.depths)]
+	r.calls++
+	return d
+}
+
+// widthBackend records the width of every batch evaluation it serves.
+type widthBackend struct {
+	filters.Backend
+	mu     sync.Mutex
+	widths []int
+}
+
+func (w *widthBackend) EvaluateBatch(frames []*video.Frame, dst []*filters.Output) []*filters.Output {
+	w.mu.Lock()
+	w.widths = append(w.widths, len(frames))
+	w.mu.Unlock()
+	return filters.EvaluateBatchInto(w.Backend, frames, dst)
+}
+
+func (w *widthBackend) ConcurrentSafe() bool { return true }
+
+// A source that reports its held frames gets ragged chunks: each chunk is
+// the frames already held, capped at 32 and at the query's frame budget,
+// or the next frame alone when none is held. The scripted depths cover
+// chunks of 1, 3, 32 and 7, depth 0, a depth past the cap, a frame
+// budget that ends mid-chunk, and a cancellation mid-chunk. Every run
+// stays field-identical to the sequential loop over the frames it saw,
+// with every frame observed once in order, at one processor and at four.
+func TestRunStreamRaggedChunks(t *testing.T) {
+	p := video.Jackson()
+	plan := MustBind(parse(t, `SELECT FRAMES FROM jackson WHERE COUNT(car) = 1`), p)
+	frames := video.NewStream(p, 57).Take(100)
+	script := []int{1, 3, 32, 7, 0, 40}
+	cases := []struct {
+		name     string
+		n        int
+		cancelAt int
+		seen     int
+		widths   []int
+	}{
+		{name: "script", n: 100, seen: 100,
+			widths: []int{1, 3, 32, 7, 1, 32, 1, 3, 20}},
+		{name: "budget-mid-chunk", n: 50, seen: 50,
+			widths: []int{1, 3, 32, 7, 1, 6}},
+		{name: "cancel-mid-chunk", n: 100, cancelAt: 40, seen: 40,
+			widths: []int{1, 3, 32, 4}},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, tc := range cases {
+			label := fmt.Sprintf("%s/GOMAXPROCS=%d", tc.name, procs)
+			want := (&Engine{Backend: filters.NewODFilter(p, 57, nil), Detector: detect.NewOracle(nil), Tol: Tolerances{Count: 1}}).
+				RunSequential(plan, frames[:tc.seen])
+			rec := &widthBackend{Backend: filters.NewODFilter(p, 57, nil)}
+			next := 0
+			eng := &Engine{Backend: rec, Detector: detect.NewOracle(nil), Tol: Tolerances{Count: 1},
+				Observe: func(o FrameObservation) {
+					if o.Index != next || o.Frame != frames[next] {
+						t.Errorf("%s: observation %d carries index %d", label, next, o.Index)
+					}
+					next++
+				}}
+			got := eng.RunStream(plan, &raggedSource{frames: frames, depths: script, cancelAt: tc.cancelAt}, tc.n)
+			requireSameResult(t, label, got, want)
+			if next != tc.seen {
+				t.Fatalf("%s: observed %d frames, want %d", label, next, tc.seen)
+			}
+			sort.Ints(rec.widths)
+			sort.Ints(tc.widths)
+			if !reflect.DeepEqual(rec.widths, tc.widths) {
+				t.Fatalf("%s: chunk widths %v, want %v", label, rec.widths, tc.widths)
+			}
+		}
 	}
 }
 

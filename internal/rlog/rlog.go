@@ -356,8 +356,10 @@ func (l *Log[T]) wakeSpaceLocked() chan struct{} {
 // the Sample policy may decimate and DropOldest semantics apply to;
 // terminal events (a stream's end marker) pass false so they always
 // land, overwriting the oldest entry if the ring is full of unread
-// events. abort, when non-nil, releases a Block-policy writer waiting
-// for a consumer (the append is then counted dropped).
+// events — except under Block with a non-nil abort, where a terminal
+// event waits for space like any other, keeping Block lossless. abort,
+// when non-nil, releases a Block-policy writer waiting for a consumer
+// (the append is then counted dropped).
 //
 // Append reports whether the value was stored. It returns false after
 // Close, on abort, and for events the policy shed.
@@ -497,7 +499,7 @@ func (l *Log[T]) Append(v T, droppable bool, abort <-chan struct{}) bool {
 		// Eviction of a consumed (or spilled) entry is always allowed;
 		// losing an unread one is what the policy decides.
 		if !spilled && l.first >= l.floorLocked() {
-			if l.policy == Block && droppable {
+			if l.policy == Block && (droppable || abort != nil) {
 				l.spaceWaiters++
 				ch := l.spaceCh
 				l.mu.Unlock()
@@ -521,7 +523,7 @@ func (l *Log[T]) Append(v T, droppable bool, abort <-chan struct{}) bool {
 				continue
 			}
 			// DropOldest, Sample at full pressure (non-droppable), or a
-			// terminal event under any policy: overwrite the oldest
+			// terminal event nothing can abort: overwrite the oldest
 			// unread so the event always lands.
 			l.dropped++
 		}

@@ -1,6 +1,7 @@
 package rlog
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -92,6 +93,50 @@ func TestLogBlockAppendAborts(t *testing.T) {
 	}
 	if l.Dropped() != 1 {
 		t.Fatalf("dropped %d, want 1", l.Dropped())
+	}
+}
+
+// Block policy keeps a terminal (non-droppable) event lossless too: with
+// an abort channel open it parks for space like any other append instead
+// of evicting the oldest unread entry. Only an append nothing can abort
+// (the panic barrier's forced end) still overwrites.
+func TestLogBlockTerminalWaits(t *testing.T) {
+	l := New[int](8, Block)
+	r := l.ReaderFrom(0)
+	appendN(t, l, 0, 8, true) // ring full, reader at 0
+	abort := make(chan struct{})
+	stored := make(chan bool, 1)
+	go func() { stored <- l.Append(99, false, abort) }()
+	for parked := false; !parked; {
+		select {
+		case <-stored:
+			t.Fatalf("terminal append returned over an unread full ring (dropped %d)", l.Dropped())
+		default:
+		}
+		l.mu.Lock()
+		parked = l.spaceWaiters == 1
+		l.mu.Unlock()
+		runtime.Gosched()
+	}
+	for want := 0; want <= 8; want++ {
+		it, ok := r.Next(nil)
+		if !ok || it.Gap != nil || it.Seq != int64(want) {
+			t.Fatalf("read %d: %+v ok=%v", want, it, ok)
+		}
+		if want == 8 && it.Value != 99 {
+			t.Fatalf("terminal entry holds %d, want 99", it.Value)
+		}
+	}
+	if ok := <-stored; !ok || l.Dropped() != 0 {
+		t.Fatalf("terminal append stored=%v with %d dropped, want stored and none dropped", ok, l.Dropped())
+	}
+	r.Detach()
+
+	forced := New[int](8, Block)
+	forced.ReaderFrom(0)
+	appendN(t, forced, 0, 8, true)
+	if !forced.Append(99, false, nil) || forced.Dropped() != 1 {
+		t.Fatalf("unabortable terminal append: dropped %d, want it stored over one unread entry", forced.Dropped())
 	}
 }
 

@@ -1,10 +1,11 @@
 // Package sched implements the server-wide inference coalescing broker:
-// the cross-feed generalisation of the per-feed micro-batching scan.
+// the cross-feed generalisation of the per-feed shared scan.
 //
 // The paper's economics argument is that monitoring many concurrent
 // queries over many camera feeds is only viable when frame evaluation
 // cost is amortised across everything that shares work. Within one feed
-// the scan batcher already groups frames ahead of the fan-out; but a
+// the shared memo runs each filter once per frame, and each query's
+// executor hands it chunks of the frames it already holds; but a
 // server hosting twenty sparse feeds that all serve the same trained
 // model still issues twenty tiny GEMM batches where one would do — one
 // per feed. The broker collects those pending batches from every feed whose
@@ -40,9 +41,9 @@ import (
 // Config tunes a Broker. The zero value selects the defaults.
 type Config struct {
 	// Batch caps a merged run: the frames of the whole parked requests
-	// one evaluation takes (default 32 — two of the server's default
-	// per-feed micro-batches). A single request larger than the cap still
-	// runs whole. Values < 2 select the default.
+	// one evaluation takes (default 32 — one full executor chunk). A
+	// single request larger than the cap still runs whole. Values < 2
+	// select the default.
 	Batch int
 }
 

@@ -144,10 +144,10 @@ func TestServerOrderSensitiveDetectorNotShared(t *testing.T) {
 	}
 }
 
-// Micro-batching must not change any query's results: the same fleet over
-// the same recording with batching on (default), off (ScanBatch 1), and
-// with a trained backend, yields identical events; and a paced feed's
-// batcher closes its batches early instead of waiting for a full one.
+// Serving must not change any query's results: three queries sharing one
+// feed's scan, whose chunks batch the backlog, each yield exactly the
+// events of a standalone run of the same recording — with the calibrated
+// and with a trained backend — and so does a paced feed.
 func TestServerScanBatchEquivalenceAndPacedFlush(t *testing.T) {
 	p := video.Jackson()
 	const n = 256
@@ -184,33 +184,32 @@ func TestServerScanBatchEquivalenceAndPacedFlush(t *testing.T) {
 		wg.Wait()
 		return out
 	}
-	requireSameEvents := func(label string, got, want [][]Event) {
+	plan := query.MustBind(parse(t, `SELECT FRAMES FROM jackson WHERE COUNT(car) = 1`), p)
+	requireStandalone := func(label string, got [][]Event, backend filters.Backend) {
 		t.Helper()
-		for q := range want {
-			if len(got[q]) != len(want[q]) {
-				t.Fatalf("%s: query %d event count %d vs %d", label, q, len(got[q]), len(want[q]))
+		want := (&query.Engine{Backend: backend, Detector: detect.NewOracle(nil), Tol: query.Tolerances{Count: 1, Location: 1}}).
+			RunSequential(plan, frames)
+		for q := range got {
+			if len(got[q]) != len(want.Matched) {
+				t.Fatalf("%s: query %d matched %d frames, standalone %d", label, q, len(got[q]), len(want.Matched))
 			}
-			for i := range want[q] {
-				g, w := got[q][i], want[q][i]
-				if g.Kind != w.Kind || g.Seq != w.Seq || g.FrameIndex != w.FrameIndex || g.Objects != w.Objects {
-					t.Fatalf("%s: query %d event %d = %+v, want %+v", label, q, i, g, w)
+			for i, ev := range got[q] {
+				f := frames[want.Matched[i]]
+				if ev.Kind != EventMatch || ev.Seq != want.Matched[i] || ev.FrameIndex != f.Index || ev.Objects != len(f.Objects) {
+					t.Fatalf("%s: query %d event %d = %+v, want the match at seq %d", label, q, i, ev, want.Matched[i])
 				}
 			}
 		}
 	}
 
-	batched := run(Config{}, filters.NewODFilter(p, 33, nil))
-	unbatched := run(Config{ScanBatch: 1}, filters.NewODFilter(p, 33, nil))
-	requireSameEvents("calibrated", batched, unbatched)
-
+	requireStandalone("calibrated", run(Config{}, filters.NewODFilter(p, 33, nil)), filters.NewODFilter(p, 33, nil))
 	tcfg := filters.TrainedConfig{Img: 32, Channels: 8, Seed: 33}
-	trainedBatched := run(Config{}, filters.NewUntrained(filters.OD, p, tcfg, nil))
-	trainedUnbatched := run(Config{ScanBatch: 1}, filters.NewUntrained(filters.OD, p, tcfg, nil))
-	requireSameEvents("trained", trainedBatched, trainedUnbatched)
+	requireStandalone("trained", run(Config{}, filters.NewUntrained(filters.OD, p, tcfg, nil)),
+		filters.NewUntrained(filters.OD, p, tcfg, nil))
 
-	// Paced feed: frames arrive ~1ms apart, so batches must close small
-	// instead of stalling the pipeline for 16 frames; the events still
-	// match an unpaced run.
+	// Paced feed: frames arrive ~1ms apart, so chunks stay narrow (the
+	// paced broker test pins their width); the events still match a
+	// standalone run.
 	srv := New(Config{})
 	if err := srv.AddFeed(FeedConfig{
 		Name: p.Name, Profile: p,
@@ -230,18 +229,9 @@ func TestServerScanBatchEquivalenceAndPacedFlush(t *testing.T) {
 	if !sawEnd {
 		t.Fatal("paced run did not finish")
 	}
-	m := srv.Metrics()
-	fm := m.Feeds[0]
-	if fm.ScanBatches == 0 {
-		t.Fatal("paced feed produced no batches")
-	}
-	if fm.ScanAvgBatch > 8 {
-		t.Fatalf("paced feed batches average %.1f frames — batches are waiting for batch-mates", fm.ScanAvgBatch)
-	}
 	// Sanity: the paced run still produced the standalone-identical match
 	// set for its prefix.
 	eng := &query.Engine{Backend: filters.NewODFilter(p, 33, nil), Detector: detect.NewOracle(nil), Tol: query.Tolerances{Count: 1, Location: 1}}
-	plan := query.MustBind(parse(t, `SELECT FRAMES FROM jackson WHERE COUNT(car) = 1`), p)
 	want := eng.RunStream(plan, &stream.SliceSource{Frames: frames[:64]}, 64)
 	if len(evs) != len(want.Matched) {
 		t.Fatalf("paced run matched %d frames, standalone %d", len(evs), len(want.Matched))
@@ -251,15 +241,6 @@ func TestServerScanBatchEquivalenceAndPacedFlush(t *testing.T) {
 			t.Fatalf("paced match %d at seq %d, want %d", i, ev.Seq, want.Matched[i])
 		}
 	}
-}
-
-// chanSource yields the frames a test sends it, one at a time, and ends
-// when the channel closes.
-type chanSource chan *video.Frame
-
-func (c chanSource) Next() (*video.Frame, bool) {
-	f, ok := <-c
-	return f, ok
 }
 
 // gatedBackend is a trained filter backend whose batch evaluations park
@@ -292,94 +273,4 @@ func (g *gatedBackend) EvaluateBatch(frames []*video.Frame, dst []*filters.Outpu
 func (g *gatedBackend) Evaluate(f *video.Frame) *filters.Output {
 	var out [1]*filters.Output
 	return g.EvaluateBatch([]*video.Frame{f}, out[:0])[0]
-}
-
-// The scan batcher's closing rule, step by step against a gated memo
-// backend: a lone frame is dispatched at once while no second frame
-// exists; with both warm-up slots busy the next batch keeps growing to
-// the cap and no further; it closes the moment a slot frees; and end of
-// stream is reported only after every warm-up has landed.
-func TestScanBatcherClosesWhenEvaluatorFree(t *testing.T) {
-	p := video.Jackson()
-	const size = 16
-	const total = 2 + 2*size + 1
-	clip := video.NewStream(p, 33).Take(total)
-	gate := newGatedBackend(filters.NewUntrained(filters.OD, p, filters.TrainedConfig{Img: 16, Channels: 8, Seed: 33}, nil))
-	src := make(chanSource)
-	b := newScanBatcher(src, filters.NewShared(gate, 4096), func() bool { return true }, size)
-	defer b.shutdown()
-	next := func(want int) {
-		t.Helper()
-		if f, ok := b.Next(); !ok || f != clip[want] {
-			t.Fatalf("Next = %v, %v; want frame %d", f, ok, want)
-		}
-	}
-
-	// An idle evaluator: each lone frame is its own batch, dispatched
-	// while the source holds nothing else. The first warm-up starts (and
-	// parks in the gate); the second waits its turn in the other slot.
-	go func() { src <- clip[0] }() // the puller starts on the first Next
-	next(0)
-	if w := <-gate.entered; w != 1 {
-		t.Fatalf("first warm-up evaluated %d frames, want 1", w)
-	}
-	src <- clip[1]
-	next(1)
-	if got := b.batches.Load(); got != 2 {
-		t.Fatalf("%d batches closed for two lone frames, want 2", got)
-	}
-
-	// Both slots busy: the pump blocks collecting the third batch. The
-	// source takes size+size+1 more frames only once the batch holds its
-	// cap of size, the look-ahead channel size, and the puller one.
-	pumped := make(chan *video.Frame)
-	go func() {
-		defer close(pumped)
-		for {
-			f, ok := b.Next()
-			if !ok {
-				return
-			}
-			pumped <- f
-		}
-	}()
-	for _, f := range clip[2:] {
-		src <- f
-	}
-	if got := b.batches.Load(); got != 2 {
-		t.Fatalf("a batch closed with no warm-up slot free (%d batches)", got)
-	}
-
-	// One slot frees: the waiting batch closes at once, at the cap.
-	gate.release <- struct{}{}
-	for i := 2; i < 2+size; i++ {
-		if f := <-pumped; f != clip[i] {
-			t.Fatalf("pumped frame %d out of order", i)
-		}
-	}
-	if got, frames := b.batches.Load(), b.framesN.Load(); got != 3 || frames != 2+size {
-		t.Fatalf("after one slot freed: %d batches over %d frames, want 3 over %d", got, frames, 2+size)
-	}
-
-	// End of stream: EOF must not surface before every queued warm-up has
-	// been evaluated.
-	close(gate.release)
-	close(src)
-	for i := 2 + size; i < total; i++ {
-		if f := <-pumped; f != clip[i] {
-			t.Fatalf("pumped frame %d out of order", i)
-		}
-	}
-	if _, open := <-pumped; open {
-		t.Fatal("frames past the end of the source")
-	}
-	if got := gate.frames.Load(); got != total {
-		t.Fatalf("EOF surfaced with %d of %d frames warmed", got, total)
-	}
-	// The first width was read above.
-	for _, want := range []int{1, size, size, 1} {
-		if w := <-gate.entered; w != want {
-			t.Fatalf("warm-up evaluated %d frames, want %d", w, want)
-		}
-	}
 }

@@ -77,10 +77,10 @@ func TestServerCrossFeedCoalescingEquivalence(t *testing.T) {
 		clips[i] = video.NewStream(base, uint64(60+i)).Take(nFrames)
 	}
 	tcfg := filters.TrainedConfig{Img: 16, Channels: 8, Seed: 33}
-	// ScanBatch 2 keeps each feed's submissions sparse (1–2 frames), the
-	// regime the broker exists for.
-	coalesced, m := coalesceFleet(t, Config{ScanBatch: 2}, tcfg, clips, 2)
-	perFeed, _ := coalesceFleet(t, Config{ScanBatch: 2, CoalesceBatch: 1}, tcfg, clips, 2)
+	// FanoutBuffer 2 keeps each feed's submissions sparse (1–2 frames),
+	// the regime the broker exists for.
+	coalesced, m := coalesceFleet(t, Config{FanoutBuffer: 2}, tcfg, clips, 2)
+	perFeed, _ := coalesceFleet(t, Config{FanoutBuffer: 2, CoalesceBatch: 1}, tcfg, clips, 2)
 
 	for i := range coalesced {
 		for q := range coalesced[i] {
@@ -119,7 +119,7 @@ func TestServerCrossFeedCoalescingEquivalence(t *testing.T) {
 // separate groups (different weights would change results).
 func TestServerCoalesceIsolatesArchitectures(t *testing.T) {
 	base := video.Jackson()
-	srv := New(Config{ScanBatch: 2})
+	srv := New(Config{})
 	for i := 0; i < 2; i++ {
 		p := base
 		p.Name = base.Name + strconv.Itoa(i)
@@ -199,8 +199,6 @@ func TestServerCoalescePacedDeadlineFlush(t *testing.T) {
 		Backend:  filters.NewUntrained(filters.OD, p, tcfg, nil),
 		Detector: detect.NewOracle(nil),
 		Tol:      query.Tolerances{Count: 1, Location: 1},
-		// ChunkSize 1 mirrors the server's latency contract.
-		ChunkSize: 1,
 	}
 	plan := query.MustBind(parse(t, `SELECT FRAMES FROM jackson WHERE COUNT(car) = 1`), p)
 	want := eng.RunStream(plan, &stream.SliceSource{Frames: frames}, n)
@@ -261,8 +259,8 @@ func TestServerOverrideBackendChurnReleases(t *testing.T) {
 }
 
 // One frame published to an idle push feed must produce its match event
-// while no second frame exists: neither the scan batcher nor the broker —
-// whose group here has a second, silent member — may hold it for
+// while no second frame exists: neither the query's chunking nor the
+// broker — whose group here has a second, silent member — may hold it for
 // batch-mates. The network saw exactly one batch of one.
 func TestServerCoalesceLoneFrameMatchesAtOnce(t *testing.T) {
 	p := video.Jackson()
@@ -306,17 +304,12 @@ func TestServerCoalesceLoneFrameMatchesAtOnce(t *testing.T) {
 	if g := m.Coalesce; len(g) != 1 || g[0].Members != 2 || g[0].Batches != 1 || g[0].Frames != 1 {
 		t.Fatalf("coalesce metrics %+v: want one 2-member group with one batch of one", g)
 	}
-	for _, fm := range m.Feeds {
-		if fm.Name == "cam" && (fm.ScanBatches != 1 || fm.ScanAvgBatch != 1) {
-			t.Fatalf("scan closed %d batches averaging %.1f frames, want one batch of one", fm.ScanBatches, fm.ScanAvgBatch)
-		}
-	}
 }
 
-// Closing batches on an idle evaluator must not narrow them when there is
-// a backlog: eight backlogged feeds on one architecture still fill their
-// scan batches and still merge into coalesced runs near the cap, because
-// frames accumulate exactly while the evaluator is busy.
+// Closing chunks on an idle feed must not narrow them when there is a
+// backlog: eight backlogged feeds on one architecture still run batches
+// near the cap, because frames accumulate in each subscription exactly
+// while the evaluator is busy.
 func TestServerCoalesceBackloggedFeedsFillBatches(t *testing.T) {
 	base := video.Jackson()
 	const nFeeds, nFrames = 8, 512
@@ -326,27 +319,24 @@ func TestServerCoalesceBackloggedFeedsFillBatches(t *testing.T) {
 	}
 	cfg := Config{}.withDefaults()
 	_, m := coalesceFleet(t, Config{}, filters.TrainedConfig{Img: 16, Channels: 8, Seed: 33}, clips, 1)
-	for _, fm := range m.Feeds {
-		if fm.ScanAvgBatch < float64(cfg.ScanBatch-1) {
-			t.Fatalf("feed %s: backlogged scan batches average %.2f frames of %d", fm.Name, fm.ScanAvgBatch, cfg.ScanBatch)
-		}
-	}
 	if len(m.Coalesce) != 1 {
 		t.Fatalf("identical architectures must form one group, got %+v", m.Coalesce)
 	}
 	g := m.Coalesce[0]
-	if g.Frames != nFeeds*nFrames || g.Merged == 0 {
-		t.Fatalf("group %+v: want all %d frames and merged runs", g, nFeeds*nFrames)
+	if g.Frames != nFeeds*nFrames {
+		t.Fatalf("group %+v: want all %d frames", g, nFeeds*nFrames)
 	}
 	if g.AvgBatch < float64(cfg.CoalesceBatch)*3/4 || g.MaxBatch > cfg.CoalesceBatch {
 		t.Fatalf("group %+v: backlogged runs should sit near the cap of %d and never pass it", g, cfg.CoalesceBatch)
 	}
 }
 
-// End of stream must wait for in-flight memo warm-ups before the feed
-// releases its broker attachment: a warm-up still evaluating afterwards
-// would land in a retired group and its frames vanish from the metrics.
-func TestServerCoalesceEOFWaitsForWarmUps(t *testing.T) {
+// A feed's broker membership must outlive the query evaluations of its
+// frames, which continue after the source ends (subscription buffers and
+// chunks in flight): an evaluation still parked after the pump finished
+// keeps the feed attached, so its frames land in a live group and stay
+// in the metrics. The last query to finish then detaches it.
+func TestServerCoalesceMembershipOutlivesEvaluations(t *testing.T) {
 	p := video.Jackson()
 	const n = 3
 	held := newGatedBackend(filters.NewUntrained(filters.OD, p, filters.TrainedConfig{Img: 16, Channels: 8, Seed: 91}, nil))
@@ -365,15 +355,16 @@ func TestServerCoalesceEOFWaitsForWarmUps(t *testing.T) {
 	}
 	srv.Start()
 	<-held.entered
-	// The source is long exhausted; give the pump every chance to reach
-	// end of stream while the evaluation is still parked.
-	for i := 0; i < 1000; i++ {
+	// The source holds only n frames and the fan-out buffers them all, so
+	// the pump finishes while the evaluation is still parked.
+	f := srv.feeds[p.Name]
+	for f.State() != FeedClosed {
 		runtime.Gosched()
 	}
 	during := srv.Metrics().Coalesce
 	close(held.release)
 	if len(during) != 1 || during[0].Live != 1 {
-		t.Fatalf("coalesce metrics %+v: the feed must stay attached while its warm-up is in flight", during)
+		t.Fatalf("coalesce metrics %+v: the feed must stay attached while a query evaluates its frames", during)
 	}
 	if evs, _, sawEnd := drain(reg); !sawEnd || len(evs) != n {
 		t.Fatalf("drained %d matches (end %v), want %d", len(evs), sawEnd, n)

@@ -27,11 +27,12 @@ const (
 	FeedRunning FeedState = "running"
 	// FeedDraining is a feed whose ingestion has been cut: no new frames
 	// are admitted and no new queries may register, but frames already
-	// in flight (ingest ring, scan batches, fan-out buffers) still flow
+	// in flight (ingest ring, fan-out buffers, query chunks) still flow
 	// so every query ends with its end event.
 	FeedDraining FeedState = "draining"
 	// FeedClosed is a feed whose pump has finished; its subscriptions are
-	// closed and it holds no broker memberships.
+	// closed, and it releases its broker memberships once the last query
+	// still evaluating its frames ends.
 	FeedClosed FeedState = "closed"
 )
 
@@ -81,9 +82,9 @@ func LiveFeed(p video.Profile, seed uint64) FeedConfig {
 }
 
 // feed is one running feed: the fan-out pump, the shared-scan filter
-// memos queries on this feed draw from, the micro-batching scan stage
-// that fills the default memo chunk-at-a-time, and (for order-insensitive
-// detectors) the shared confirmation memo.
+// memos queries on this feed draw from (each query's chunks fill them
+// through one batch evaluation per uncached run of frames), and (for
+// order-insensitive detectors) the shared confirmation memo.
 type feed struct {
 	name    string
 	profile video.Profile
@@ -93,21 +94,15 @@ type feed struct {
 	dataset string
 	fanout  *stream.Fanout
 	newDet  func() detect.Detector
-	deflt   *filters.Shared
-	batcher *scanBatcher
+	deflt   *sharedEntry
 	detMemo *detect.Memo
 	broker  *sched.Broker // nil when cross-feed coalescing is disabled
 
 	// push is the feed's ingest ring when its frames arrive from
 	// publishers (a *stream.PushSource config); nil for decoded feeds.
 	push *stream.PushSource
-	// gate cuts the source on drain for feeds without a scan batcher (the
-	// batcher drains at its own input so in-flight batches still flush).
+	// gate cuts a decoded feed's source on drain.
 	gate *drainGate
-
-	// defaultUsers counts live registrations on the default backend; the
-	// scan batcher only warms the memo while someone will read it.
-	defaultUsers atomic.Int64
 
 	// lastFrame is the wall-clock UnixMilli of the last frame the pump
 	// dispatched (0 until the first frame) — the stall watchdog's input.
@@ -162,15 +157,14 @@ func (f *feed) stalledNow(window time.Duration) (int64, bool) {
 }
 
 // drain cuts the feed's ingestion while letting everything already in
-// flight — ingest-ring frames, scan batches, memo warm-ups, fan-out
-// buffers — flow to the registered queries, which then end through the
-// ordinary source-EOF path: the batcher dispatches its partial batch, the
-// EOF notifier releases the feed's broker memberships, the fan-out
-// closes every subscription, and each runner emits its end event carrying
-// reason. Reports whether this call initiated the drain (false when the
-// feed was already draining or closed). Safe to call before the pump
-// starts: the later start finds the source already cut and closes out
-// immediately.
+// flight — ingest-ring frames, fan-out buffers, query chunks — flow to
+// the registered queries, which then end through the ordinary source-EOF
+// path: the fan-out closes every subscription, each runner emits its end
+// event carrying reason, and the last one to finish releases the feed's
+// broker memberships. Reports whether this call initiated the drain
+// (false when the feed was already draining or closed). Safe to call
+// before the pump starts: the later start finds the source already cut
+// and closes out immediately.
 func (f *feed) drain(reason string) bool {
 	f.mu.Lock()
 	if f.state == FeedDraining || f.state == FeedClosed {
@@ -185,8 +179,6 @@ func (f *feed) drain(reason string) bool {
 		// Close the ring's input: publishers get ErrPushClosed, buffered
 		// frames still reach the scan.
 		f.push.Close()
-	case f.batcher != nil:
-		f.batcher.drainInput()
 	default:
 		f.gate.cut()
 	}
@@ -199,24 +191,36 @@ func (f *feed) drain(reason string) bool {
 	return true
 }
 
-// sharedEntry is one memoised backend on this feed. Override backends
-// (Options.Backend) are reference-counted by the registrations using
-// them: when the last one retires, the entry is dropped and its broker
-// membership released, so long-running servers with query churn do not
-// accumulate groups, members and retained weight tensors. The feed's
-// default entry lives for the feed's lifetime (defaultUsers gates its
-// scan warm-up instead).
+// sharedEntry is one memoised backend on this feed, reference-counted by
+// the registrations using it (and, for the feed's default entry, by the
+// pump until the fan-out finishes). When the count reaches zero the
+// entry releases its broker membership, so a coalesce group is retired
+// only after every query evaluation on the feed's frames has landed, and
+// long-running servers with query churn do not accumulate groups, members
+// and retained weight tensors. An override entry (Options.Backend) is
+// then dropped as well; the default entry stays for the feed's lifetime.
 type sharedEntry struct {
+	key   filters.Backend // the backend the entry memoises, its key in feed.shared
 	sh    *filters.Shared
-	refs  int          // live registrations on an override backend
+	refs  int
 	leave sched.Member // non-nil when the wrapped backend holds a broker membership
 }
 
-func newSharedEntry(sh *filters.Shared, wrapped filters.Backend) *sharedEntry {
-	e := &sharedEntry{sh: sh}
+// newSharedEntry memoises b on this feed, holding one reference for the
+// caller. The caller holds f.mu once the feed is reachable.
+func (f *feed) newSharedEntry(b filters.Backend, cacheCap int) *sharedEntry {
+	// Trained backends that fingerprint an architecture identity route
+	// through the cross-feed broker: feeds serving the same model merge
+	// their evaluations into one GEMM, and the memo scatter below the
+	// Shared wrapper is untouched. The shared map stays keyed by the
+	// original backend so queries naming the same instance join the same
+	// memo.
+	wrapped := f.broker.Wrap(b)
+	e := &sharedEntry{key: b, sh: filters.NewShared(wrapped, cacheCap), refs: 1}
 	if m, ok := wrapped.(sched.Member); ok {
 		e.leave = m
 	}
+	f.shared[b] = e
 	return e
 }
 
@@ -277,38 +281,14 @@ func newFeed(cfg FeedConfig, srv Config, broker *sched.Broker) (*feed, error) {
 	if ps, ok := cfg.Source.(*stream.PushSource); ok {
 		f.push = ps
 	}
-	// Trained backends that fingerprint an architecture identity route
-	// through the cross-feed broker: feeds serving the same model merge
-	// their micro-batches into one GEMM, and the memo scatter below the
-	// Shared wrapper is untouched. The shared map stays keyed by the
-	// original backend so queries naming the same instance join the same
-	// memo.
-	wrapped := broker.Wrap(backend)
-	f.deflt = filters.NewShared(wrapped, cacheCap)
-	f.shared[backend] = newSharedEntry(f.deflt, wrapped)
+	// The entry's first reference is the pump's, dropped when the fan-out
+	// finishes.
+	f.deflt = f.newSharedEntry(backend, cacheCap)
 
-	// Micro-batch the shared scan: frames flow source -> batcher ->
-	// fan-out, and each closed batch pre-fills the default memo through
-	// the backend's batch path (one clock transaction, batched GEMMs for
-	// trained backends), so every query's ChunkSize=1 low-latency pipeline
-	// hits a warm cache.
-	if srv.ScanBatch > 1 {
-		f.batcher = newScanBatcher(src, f.deflt,
-			func() bool { return f.defaultUsers.Load() > 0 }, srv.ScanBatch)
-		src = f.batcher
-	} else {
-		// No batcher to drain at: give drain a gate that cuts the source
-		// directly (frames already teed downstream still flow).
-		f.gate = &drainGate{src: src}
-		src = f.gate
-	}
-	// Stamp every pumped frame for the stall watchdog before the EOF
-	// notifier (a feed that ended is closed, not stalled).
-	src = &stampSource{src: src, last: &f.lastFrame}
-	// A bounded feed that drains releases its broker memberships the
-	// moment its source ends, so a group nobody feeds any more is retired.
-	src = &eofNotifySource{src: src, fire: f.leaveBroker}
-	f.fanout = stream.NewFanout(src, fanoutBuffer)
+	// drain cuts the source at the gate; frames already teed downstream
+	// still flow. Every pumped frame is stamped for the stall watchdog.
+	f.gate = &drainGate{src: src}
+	f.fanout = stream.NewFanout(&stampSource{src: f.gate, last: &f.lastFrame}, fanoutBuffer)
 
 	newDet := cfg.NewDetector
 	if newDet == nil {
@@ -326,28 +306,17 @@ func newFeed(cfg FeedConfig, srv Config, broker *sched.Broker) (*feed, error) {
 	return f, nil
 }
 
-// release undoes a registration's claims: the default-backend warm-up
-// gate, and — for a registration that brought its own backend — that
-// backend's shared entry, dropped (memo and broker membership released)
-// when its last registration retires.
-func (f *feed) release(usedDefault bool, override filters.Backend) {
-	if usedDefault {
-		f.defaultUsers.Add(-1)
-	}
-	if override == nil {
-		return
-	}
+// release drops one reference to e. The last one releases its broker
+// membership and forgets an override entry.
+func (f *feed) release(e *sharedEntry) {
 	f.mu.Lock()
-	e, ok := f.shared[override]
-	if !ok || e.sh == f.deflt {
-		f.mu.Unlock()
-		return
-	}
 	e.refs--
 	var leave sched.Member
-	if e.refs <= 0 {
-		delete(f.shared, override)
+	if e.refs == 0 {
 		leave = e.leave
+		if e != f.deflt {
+			delete(f.shared, e.key)
+		}
 	}
 	f.mu.Unlock()
 	if leave != nil {
@@ -355,10 +324,10 @@ func (f *feed) release(usedDefault bool, override filters.Backend) {
 	}
 }
 
-// close stops the scan batcher and the fan-out pump, releasing the feed's
-// broker memberships. Unlike drain it does not wait for in-flight frames;
-// it is the hard-stop path (server Close, teardown after a drain has
-// already flushed).
+// close stops the fan-out pump and releases the feed's broker
+// memberships. Unlike drain it does not wait for in-flight frames; it is
+// the hard-stop path (server Close, teardown after a drain has already
+// flushed).
 func (f *feed) close() {
 	if f.push != nil {
 		// Unblock a pump parked in PushSource.Next waiting for publishers
@@ -366,38 +335,26 @@ func (f *feed) close() {
 		// source read.
 		f.push.Close()
 	}
-	if f.batcher != nil {
-		f.batcher.shutdown()
-	}
 	f.leaveBroker()
 	f.fanout.Stop()
 }
 
-// sharedFor returns the feed's memoised wrapper for a backend, creating
-// one on first use so every query naming the same backend instance joins
-// the same shared scan. A nil backend selects the feed default. Override
-// entries are reference-counted; each call must be paired with a release
-// carrying the same backend.
-func (f *feed) sharedFor(b filters.Backend, cacheCap int) *filters.Shared {
-	if b == nil {
-		return f.deflt
-	}
+// sharedFor takes a reference to the feed's memoised wrapper for a
+// backend, creating one on first use so every query naming the same
+// backend instance joins the same shared scan. A nil backend selects the
+// feed default. Each call must be paired with a release of the returned
+// entry.
+func (f *feed) sharedFor(b filters.Backend, cacheCap int) *sharedEntry {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if e, ok := f.shared[b]; ok {
-		// The default entry is not refcounted (it lives for the feed's
-		// lifetime), so keep the increment symmetric with release's guard
-		// even when a query names the feed's own backend explicitly.
-		if e.sh != f.deflt {
-			e.refs++
-		}
-		return e.sh
+	if b == nil {
+		b = f.deflt.key
 	}
-	wrapped := f.broker.Wrap(b)
-	e := newSharedEntry(filters.NewShared(wrapped, cacheCap), wrapped)
-	e.refs = 1
-	f.shared[b] = e
-	return e.sh
+	if e, ok := f.shared[b]; ok {
+		e.refs++
+		return e
+	}
+	return f.newSharedEntry(b, cacheCap)
 }
 
 // start launches the pump goroutine (once). A feed drained before its
@@ -417,15 +374,16 @@ func (f *feed) start() {
 	f.mu.Unlock()
 	go func() {
 		f.fanout.Run()
+		f.release(f.deflt)
 		f.mu.Lock()
 		f.state = FeedClosed
 		f.mu.Unlock()
 	}()
 }
 
-// drainGate sits between a feed's source and its fan-out when there is no
-// scan batcher to drain at: cut flips it to end-of-stream, so the pump
-// observes EOF on its next read and the ordinary teardown path runs.
+// drainGate sits between a feed's source and its fan-out: cut flips it to
+// end-of-stream, so the pump observes EOF on its next read and the
+// ordinary teardown path runs.
 type drainGate struct {
 	src    stream.Source
 	closed atomic.Bool
@@ -440,215 +398,6 @@ func (g *drainGate) Next() (*video.Frame, bool) {
 
 func (g *drainGate) cut() { g.closed.Store(true) }
 
-// scanBatcher is the micro-batching stage between a feed's source and its
-// fan-out: frames are grouped into batches of up to size frames, and each
-// batch pre-fills the default shared filter memo in one batch evaluation.
-// A batch closes the moment a memo warm-up can start on it: a frame never
-// waits for batch-mates, only for a free warm-up slot, so an idle feed
-// dispatches a lone frame at once (preserving the server's
-// match-the-moment-it-happens contract) while a backlogged one fills whole
-// batches, because frames accumulate exactly while the evaluator is busy.
-//
-// The batcher is pull-driven: its source puller starts on the fan-out's
-// first read, so a bounded recording still does not drain before the
-// first query registers. Once running it looks ahead at most size frames.
-type scanBatcher struct {
-	src    stream.Source
-	warm   *filters.Shared
-	active func() bool // whether any registration reads the default memo
-	size   int
-
-	start sync.Once
-	raw   chan *video.Frame
-	stop  chan struct{}
-	stopO sync.Once
-	// drainC ends the puller without cutting frames already pulled: the
-	// raw channel closes, fill dispatches the partial batch, and EOF
-	// propagates downstream — a graceful drain, where stop is the hard
-	// shutdown that also abandons buffered frames.
-	drainC chan struct{}
-	drainO sync.Once
-
-	cur []*video.Frame
-	idx int
-	// Memo warm-ups run on one long-lived worker. warmFree holds the two
-	// batch slices they travel in and is thereby the semaphore bounding
-	// the look-ahead: when EvaluateBatch falls behind the pump, taking a
-	// slice blocks the pump at a fixed pipeline depth (see fill for why
-	// blocking, not skipping). warmQ carries filled slices to the worker.
-	// EOF closes warmQ and waits on warmDone: the frames-exhausted signal
-	// is what releases the feed's broker attachment, and a warm-up still
-	// submitting after that would evaluate into a retired group whose
-	// counters are no longer visible.
-	warmFree chan []*video.Frame
-	warmQ    chan []*video.Frame
-	warmDone chan struct{}
-
-	batches atomic.Int64
-	framesN atomic.Int64
-}
-
-func newScanBatcher(src stream.Source, warm *filters.Shared, active func() bool, size int) *scanBatcher {
-	s := &scanBatcher{
-		src: src, warm: warm, active: active, size: size,
-		raw:      make(chan *video.Frame, size),
-		stop:     make(chan struct{}),
-		drainC:   make(chan struct{}),
-		warmFree: make(chan []*video.Frame, 2),
-		warmQ:    make(chan []*video.Frame, 2), // every slice of warmFree fits: sends never block
-		warmDone: make(chan struct{}),
-	}
-	for i := 0; i < cap(s.warmFree); i++ {
-		s.warmFree <- make([]*video.Frame, 0, size)
-	}
-	return s
-}
-
-// Next implements stream.Source for the fan-out pump. It is called from
-// the single pump goroutine only.
-func (s *scanBatcher) Next() (*video.Frame, bool) {
-	s.start.Do(func() {
-		go s.pull()
-		go s.warmLoop()
-	})
-	if s.idx >= len(s.cur) {
-		if !s.fill() {
-			return nil, false
-		}
-	}
-	f := s.cur[s.idx]
-	s.idx++
-	return f, true
-}
-
-// fill collects the next micro-batch: it blocks for the first frame, adds
-// whatever the puller has already queued, and closes the batch as soon as
-// a warm-up slot is free — at once when nobody reads the default memo.
-func (s *scanBatcher) fill() bool {
-	f, ok := <-s.raw
-	if !ok {
-		// Let queued and in-flight warm-ups land before EOF propagates.
-		close(s.warmQ)
-		<-s.warmDone
-		return false
-	}
-	s.cur = append(s.cur[:0], f)
-	// Warm the memo fire-and-forget: the batch claims its frames' memo
-	// entries in one inner batch evaluation while the pump is already
-	// dispatching them downstream, overlapping decode and fan-out with an
-	// evaluation that may be parked behind other feeds' coalesced run.
-	// Queries that reach a frame first simply claim it themselves (memo
-	// entries are exactly-once) and everyone else blocks on the entry's
-	// ready channel, so results and shared-scan economy are unchanged —
-	// only the pump stops stalling. Skipping the warm-up instead of
-	// blocking for a slot is not safe: a batch left for queries to claim
-	// after the feed's EOF releases its broker attachment would evaluate
-	// into a retired group and vanish from the metrics. Only shutdown
-	// forgoes it.
-	free := s.warmFree
-	if !s.active() {
-		free = nil
-	}
-	raw := s.raw
-	var batch []*video.Frame
-	for {
-		for len(s.cur) < s.size && len(raw) > 0 {
-			s.cur = append(s.cur, <-raw)
-		}
-		if free == nil {
-			break
-		}
-		// Both slots busy: the batch keeps growing for as long as the
-		// evaluator keeps it waiting.
-		more := raw
-		if len(s.cur) == s.size {
-			more = nil
-		}
-		select {
-		case batch = <-free:
-			free = nil
-		case f, ok := <-more:
-			if ok {
-				s.cur = append(s.cur, f)
-			} else {
-				raw = nil // source ended; the next fill reports it
-			}
-		case <-s.stop:
-			free = nil
-		}
-	}
-	s.idx = 0
-	s.batches.Add(1)
-	s.framesN.Add(int64(len(s.cur)))
-	if batch != nil {
-		// The worker owns its own copy of the batch (s.cur is reused).
-		s.warmQ <- append(batch, s.cur...)
-	}
-	return true
-}
-
-// warmLoop is the feed's warm-up worker: it evaluates each closed batch
-// into the shared memo and hands the slice back, freeing its slot.
-func (s *scanBatcher) warmLoop() {
-	defer close(s.warmDone)
-	for {
-		select {
-		case batch, ok := <-s.warmQ:
-			if !ok {
-				return
-			}
-			s.warmBatch(batch)
-			clear(batch)
-			s.warmFree <- batch[:0]
-		case <-s.stop:
-			return
-		}
-	}
-}
-
-// warmBatch runs one warm-up. A panicking backend must not take the
-// process down from a fire-and-forget warm-up; queries that claim the
-// frames themselves hit the same panic behind the executor's own barrier
-// and fail individually.
-func (s *scanBatcher) warmBatch(batch []*video.Frame) {
-	defer func() { _ = recover() }()
-	s.warm.EvaluateBatch(batch, nil)
-}
-
-// pull streams the source into the raw channel until the source ends, the
-// batcher is shut down, or a drain cuts further pulls.
-func (s *scanBatcher) pull() {
-	defer close(s.raw)
-	for {
-		select {
-		case <-s.drainC:
-			return
-		default:
-		}
-		f, ok := s.src.Next()
-		if !ok {
-			return
-		}
-		select {
-		case s.raw <- f:
-		case <-s.stop:
-			return
-		case <-s.drainC:
-			// The frame in hand was never admitted to a batch; the drain
-			// cut the source just before it.
-			return
-		}
-	}
-}
-
-// shutdown releases the puller; idempotent.
-func (s *scanBatcher) shutdown() { s.stopO.Do(func() { close(s.stop) }) }
-
-// drainInput stops pulling new frames while letting everything already in
-// the raw channel flow downstream as the final (possibly partial) batch;
-// idempotent.
-func (s *scanBatcher) drainInput() { s.drainO.Do(func() { close(s.drainC) }) }
-
 // stampSource records the wall-clock instant of every frame the wrapped
 // source yields, feeding the feed's stall watchdog.
 type stampSource struct {
@@ -660,21 +409,6 @@ func (s *stampSource) Next() (*video.Frame, bool) {
 	f, ok := s.src.Next()
 	if ok {
 		s.last.Store(time.Now().UnixMilli())
-	}
-	return f, ok
-}
-
-// eofNotifySource fires a callback once when the wrapped source ends.
-type eofNotifySource struct {
-	src  stream.Source
-	fire func()
-	once sync.Once
-}
-
-func (s *eofNotifySource) Next() (*video.Frame, bool) {
-	f, ok := s.src.Next()
-	if !ok {
-		s.once.Do(s.fire)
 	}
 	return f, ok
 }

@@ -340,8 +340,10 @@ func (r *Registration) emit(ev Event, droppable bool) {
 // orderly end and the panic barrier's forced end from both landing.
 // force bypasses the cancellation drop: the barrier runs after the
 // runner's deferred sub.Cancel, yet its query_failed notice must reach
-// consumers; a normal end keeps the long-standing drop-on-unregister
-// semantics.
+// consumers, so it overwrites the oldest unread event if it must. A
+// normal end keeps the long-standing drop-on-unregister semantics and,
+// under Block, waits for a consumer like every other event until the
+// registration is cancelled.
 func (r *Registration) emitFinal(ev Event, force bool) {
 	r.endOnce.Do(func() {
 		if r.killed.Load() {
@@ -357,7 +359,11 @@ func (r *Registration) emitFinal(ev Event, force bool) {
 		ev.QueryID = r.id
 		ev.Feed = r.feedName
 		ev.EventSeq = r.log.NextSeq()
-		r.log.Append(ev, false, nil)
+		var abort <-chan struct{}
+		if !force {
+			abort = r.sub.Cancelled()
+		}
+		r.log.Append(ev, false, abort)
 	})
 }
 
@@ -472,9 +478,9 @@ func (r *Registration) runMonitor(eng *query.Engine, n int) {
 		ev.Error = res.Failure.Panic
 	}
 	r.stats.mu.Unlock()
-	// The end event is not droppable: however hard the policy shed load,
-	// the stream's totals always land (overwriting the oldest retained
-	// event if it must).
+	// The end event is not droppable: however hard a lossy policy shed
+	// load, the stream's totals always land (overwriting the oldest
+	// retained event if it must; under Block they wait for space).
 	r.emitFinal(ev, false)
 }
 

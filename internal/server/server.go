@@ -92,7 +92,9 @@ type Config struct {
 	Tol *query.Tolerances
 	// FanoutBuffer is the per-query frame buffer of each feed tee
 	// (default 64): how far queries on one feed may drift apart before
-	// the slowest throttles the rest.
+	// the slowest throttles the rest. A query's chunks take at most the
+	// frames its buffer holds, so a buffer under 32 frames also narrows
+	// the batches a backlogged feed evaluates.
 	FanoutBuffer int
 	// ResultBuffer is the default result-log ring capacity per
 	// registration, in events (default 64, rounded up to a power of
@@ -111,13 +113,6 @@ type Config struct {
 	// SharedCacheCap caps each shared filter memo, in frames
 	// (default 4096).
 	SharedCacheCap int
-	// ScanBatch caps the shared scan's micro-batch per feed (default 16):
-	// frames are grouped before the fan-out and each group pre-fills the
-	// default filter memo through the backend's batch path. A batch closes
-	// as soon as the memo warm-up can start on it, so a frame never waits
-	// for batch-mates, only for a busy evaluator. 1 disables
-	// micro-batching; values <= 0 select the default.
-	ScanBatch int
 	// CoalesceBatch caps a merged evaluation of the cross-feed inference
 	// broker (default 32): submissions from every feed whose backend
 	// shares an architecture/weights identity (filters.Coalescable) that
@@ -169,9 +164,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SharedCacheCap <= 0 {
 		c.SharedCacheCap = 4096
-	}
-	if c.ScanBatch <= 0 {
-		c.ScanBatch = 16
 	}
 	if c.CoalesceBatch <= 0 {
 		c.CoalesceBatch = 32
@@ -265,7 +257,7 @@ func (s *Server) CreateFeed(cfg FeedConfig) error { return s.AddFeed(cfg) }
 // DrainFeed begins a graceful drain of the named feed: ingestion is cut
 // (publishers on a push feed get ErrPushClosed), new registrations are
 // rejected with ErrFeedDraining, and every frame already in flight —
-// ingest ring, scan batches, fan-out buffers — still reaches the
+// ingest ring, fan-out buffers, query chunks — still reaches the
 // registered queries, which then end through the ordinary source-EOF path
 // and emit end events carrying the "feed_drained" reason. The feed stays
 // listed (state draining, then closed) until RemoveFeed deletes it.
@@ -548,11 +540,8 @@ func (s *Server) register(q *vql.Query, opt Options, pin *recoveredQuery) (*Regi
 		}
 	}
 
-	backend := f.sharedFor(opt.Backend, s.cfg.SharedCacheCap)
-	usesDefault := opt.Backend == nil
-	if usesDefault {
-		f.defaultUsers.Add(1)
-	}
+	entry := f.sharedFor(opt.Backend, s.cfg.SharedCacheCap)
+	backend := entry.sh
 
 	r := &Registration{
 		id:         id,
@@ -592,7 +581,7 @@ func (s *Server) register(q *vql.Query, opt Options, pin *recoveredQuery) (*Regi
 			if jerr := s.manifest.queryRegistered(rec); jerr != nil {
 				r.sub.Cancel()
 				r.closeSpill()
-				f.release(usesDefault, opt.Backend)
+				f.release(entry)
 				return nil, jerr
 			}
 		}
@@ -621,7 +610,7 @@ func (s *Server) register(q *vql.Query, opt Options, pin *recoveredQuery) (*Regi
 		s.mu.Unlock()
 		r.sub.Cancel()
 		r.closeSpill()
-		f.release(usesDefault, opt.Backend)
+		f.release(entry)
 		if journaled && pin == nil {
 			_ = s.manifest.queryUnregistered(id)
 		}
@@ -632,7 +621,7 @@ func (s *Server) register(q *vql.Query, opt Options, pin *recoveredQuery) (*Regi
 	s.mu.Unlock()
 
 	release := func() {
-		f.release(usesDefault, opt.Backend)
+		f.release(entry)
 		s.mu.Lock()
 		if s.liveRegs[f.name]--; s.liveRegs[f.name] <= 0 {
 			delete(s.liveRegs, f.name)
@@ -664,14 +653,12 @@ func (s *Server) register(q *vql.Query, opt Options, pin *recoveredQuery) (*Regi
 			s.journalFinished(r, journaled)
 		}()
 	} else {
-		// ChunkSize 1: a monitoring server exists to surface matches the
-		// moment they happen, so the pipeline must not sit on a partial
-		// chunk waiting for a paced feed to fill it. The filter pool is
-		// RunStream's own: the feed's scan fills the shared memo once per
-		// frame, so the engine's filter workers mostly wait on it.
-		eng := &query.Engine{
-			Backend: backend, Detector: det, Tol: tol, ChunkSize: 1,
-		}
+		// RunStream's chunks are the frames the subscription already
+		// holds, so a paced feed surfaces each match the moment its frame
+		// arrives while a backlog fills whole batches. The queries on a
+		// feed share its memo: whichever reaches a frame first evaluates
+		// it, once, and the others wait on that entry.
+		eng := &query.Engine{Backend: backend, Detector: det, Tol: tol}
 		go func() {
 			defer s.wg.Done()
 			r.guard(func() { r.runMonitor(eng, opt.MaxFrames) })
@@ -861,8 +848,8 @@ type FeedMetrics struct {
 	// subscribers but has not dispatched a frame within
 	// Config.StallAfter.
 	Stalled bool `json:"stalled,omitempty"`
-	// ScanBatches is how many micro-batches the shared scan has closed;
-	// ScanAvgBatch is their mean size in frames.
+	// ScanBatches and ScanAvgBatch are unused and always zero; they stay
+	// so existing readers of the snapshot keep compiling.
 	ScanBatches  int64   `json:"scan_batches,omitempty"`
 	ScanAvgBatch float64 `json:"scan_avg_batch,omitempty"`
 	// SharedFilters reports each memoised backend's shared-scan economy.
@@ -975,12 +962,6 @@ func (s *Server) Metrics() Metrics {
 				Capacity:  f.push.Capacity(),
 				Published: f.push.Published(),
 				Dropped:   f.push.Dropped(),
-			}
-		}
-		if f.batcher != nil {
-			fm.ScanBatches = f.batcher.batches.Load()
-			if fm.ScanBatches > 0 {
-				fm.ScanAvgBatch = float64(f.batcher.framesN.Load()) / float64(fm.ScanBatches)
 			}
 		}
 		if f.detMemo != nil {
