@@ -16,10 +16,11 @@ import (
 // baseline that annotates every frame.
 //
 // RunStream hands the filter backend chunks of up to 32 frames. On a
-// source that reports the frames it already holds, a chunk takes only
-// those, or the next frame alone when it holds none, so the same engine
-// batches a backlog and streams a paced feed frame by frame; results are
-// identical for every chunking.
+// source that reports the frames it already holds, a trained network's
+// chunk takes only those, or the next frame alone when it holds none, so
+// the same engine batches a backlog and streams a paced feed frame by
+// frame; other queries on such a source stream chunks of one frame.
+// Results are identical for every chunking.
 type Engine struct {
 	Backend  filters.Backend
 	Detector detect.Detector

@@ -37,10 +37,15 @@ const defaultChunkSize = 32
 //
 // The source stage pulls frames and groups them into chunks of up to
 // defaultChunkSize. On a source that reports how many frames it already
-// holds (a fan-out subscription) a chunk takes just those, or the next
-// frame alone when it holds none: a chunk never waits for frames that
-// have not arrived, so a paced feed confirms each match the moment its
-// frame does, while a backlog still fills whole chunks. A pool of filter
+// holds (a fan-out subscription) a chunk never waits for frames that have
+// not arrived. If the filter is a trained network (filters.Coalescable,
+// directly or under a filters.Shared memo), whose GEMMs amortise over the
+// batch, a chunk takes the frames already held, or the next frame alone
+// when none is held: a paced feed confirms each match the moment its
+// frame does, while a backlog fills whole chunks. Any other query on such
+// a source streams chunks of one frame: it gains nothing from width, and
+// a wide chunk would release its matches, and admit the feed's next
+// frames, in chunk-wide bursts. A pool of filter
 // workers (GOMAXPROCS-wide when the backend declares itself
 // concurrency-safe, one otherwise) evaluates the filter stage; chunks are
 // reassembled in stream order; and the detector stage confirms surviving
@@ -97,6 +102,10 @@ func (e *Engine) RunStream(plan *Plan, src stream.Source, n int) *Result {
 	// Stage 1: pull frames from the source and chunk them.
 	jobs := make(chan *streamChunk, workers)
 	held, ragged := src.(interface{ Depth() int })
+	heldCap := 1
+	if ragged && filtering && evaluatesNetwork(e.Backend) {
+		heldCap = defaultChunkSize
+	}
 	go func() {
 		defer close(jobs)
 		for seq, start := 0, 0; start < n; seq++ {
@@ -106,7 +115,7 @@ func (e *Engine) RunStream(plan *Plan, src stream.Source, n int) *Result {
 			tokens <- struct{}{}
 			want := min(defaultChunkSize, n-start)
 			if ragged {
-				want = min(want, max(1, held.Depth()))
+				want = min(want, heldCap, max(1, held.Depth()))
 			}
 			frames := stream.Take(src, want)
 			if len(frames) > 0 {
@@ -243,4 +252,13 @@ func (e *Engine) RunStream(plan *Plan, src stream.Source, n int) *Result {
 	}
 	res.Failure = failure.Load()
 	return res
+}
+
+// evaluatesNetwork reports whether b, or the backend under a shared memo,
+// is a trained network.
+func evaluatesNetwork(b filters.Backend) bool {
+	if s, ok := b.(*filters.Shared); ok {
+		b = s.Inner()
+	}
+	return filters.CoalesceKeyOf(b) != ""
 }

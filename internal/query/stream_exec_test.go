@@ -156,8 +156,11 @@ func (r *raggedSource) Depth() int {
 }
 
 // widthBackend records the width of every batch evaluation it serves.
+// With a non-empty key it declares itself a trained network
+// (filters.Coalescable), which takes ragged chunks.
 type widthBackend struct {
 	filters.Backend
+	key    string
 	mu     sync.Mutex
 	widths []int
 }
@@ -171,31 +174,51 @@ func (w *widthBackend) EvaluateBatch(frames []*video.Frame, dst []*filters.Outpu
 
 func (w *widthBackend) ConcurrentSafe() bool { return true }
 
-// A source that reports its held frames gets ragged chunks: each chunk is
-// the frames already held, capped at 32 and at the query's frame budget,
-// or the next frame alone when none is held. The scripted depths cover
-// chunks of 1, 3, 32 and 7, depth 0, a depth past the cap, a frame
-// budget that ends mid-chunk, and a cancellation mid-chunk. Every run
-// stays field-identical to the sequential loop over the frames it saw,
-// with every frame observed once in order, at one processor and at four.
+// networkBackend is a widthBackend that declares a coalescing key.
+type networkBackend struct{ *widthBackend }
+
+func (n networkBackend) CoalesceKey() string { return n.key }
+
+// A source that reports its held frames gets ragged chunks when the
+// filter is a trained network: each chunk is the frames already held,
+// capped at 32 and at the query's frame budget, or the next frame alone
+// when none is held. The scripted depths cover chunks of 1, 3, 32 and 7,
+// depth 0, a depth past the cap, a frame budget that ends mid-chunk, and
+// a cancellation mid-chunk; behind a shared memo the network keeps its
+// ragged chunks, and a surrogate filter on the same source streams one
+// frame per chunk. Every run stays field-identical to the sequential loop
+// over the frames it saw, with every frame observed once in order, at one
+// processor and at four.
 func TestRunStreamRaggedChunks(t *testing.T) {
 	p := video.Jackson()
 	plan := MustBind(parse(t, `SELECT FRAMES FROM jackson WHERE COUNT(car) = 1`), p)
 	frames := video.NewStream(p, 57).Take(100)
 	script := []int{1, 3, 32, 7, 0, 40}
+	ones := func(n int) []int {
+		w := make([]int, n)
+		for i := range w {
+			w[i] = 1
+		}
+		return w
+	}
 	cases := []struct {
 		name     string
+		key      string // coalescing key: a trained network when set
+		memo     bool   // evaluate behind a filters.Shared memo
 		n        int
 		cancelAt int
 		seen     int
 		widths   []int
 	}{
-		{name: "script", n: 100, seen: 100,
+		{name: "script", key: "net", n: 100, seen: 100,
 			widths: []int{1, 3, 32, 7, 1, 32, 1, 3, 20}},
-		{name: "budget-mid-chunk", n: 50, seen: 50,
+		{name: "budget-mid-chunk", key: "net", n: 50, seen: 50,
 			widths: []int{1, 3, 32, 7, 1, 6}},
-		{name: "cancel-mid-chunk", n: 100, cancelAt: 40, seen: 40,
+		{name: "cancel-mid-chunk", key: "net", n: 100, cancelAt: 40, seen: 40,
 			widths: []int{1, 3, 32, 4}},
+		{name: "memo", key: "net", memo: true, n: 100, seen: 100,
+			widths: []int{1, 3, 32, 7, 1, 32, 1, 3, 20}},
+		{name: "surrogate", n: 100, seen: 100, widths: ones(100)},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 4} {
@@ -204,9 +227,18 @@ func TestRunStreamRaggedChunks(t *testing.T) {
 			label := fmt.Sprintf("%s/GOMAXPROCS=%d", tc.name, procs)
 			want := (&Engine{Backend: filters.NewODFilter(p, 57, nil), Detector: detect.NewOracle(nil), Tol: Tolerances{Count: 1}}).
 				RunSequential(plan, frames[:tc.seen])
-			rec := &widthBackend{Backend: filters.NewODFilter(p, 57, nil)}
+			rec := &widthBackend{Backend: filters.NewODFilter(p, 57, nil), key: tc.key}
+			var backend filters.Backend = rec
+			if tc.key != "" {
+				backend = networkBackend{rec}
+			}
+			if tc.memo {
+				// The memo hands the recorder only the frames it has not
+				// cached, which on one pass over the stream is every frame.
+				backend = filters.NewShared(backend, 256)
+			}
 			next := 0
-			eng := &Engine{Backend: rec, Detector: detect.NewOracle(nil), Tol: Tolerances{Count: 1},
+			eng := &Engine{Backend: backend, Detector: detect.NewOracle(nil), Tol: Tolerances{Count: 1},
 				Observe: func(o FrameObservation) {
 					if o.Index != next || o.Frame != frames[next] {
 						t.Errorf("%s: observation %d carries index %d", label, next, o.Index)

@@ -653,11 +653,12 @@ func (s *Server) register(q *vql.Query, opt Options, pin *recoveredQuery) (*Regi
 			s.journalFinished(r, journaled)
 		}()
 	} else {
-		// RunStream's chunks are the frames the subscription already
-		// holds, so a paced feed surfaces each match the moment its frame
-		// arrives while a backlog fills whole batches. The queries on a
-		// feed share its memo: whichever reaches a frame first evaluates
-		// it, once, and the others wait on that entry.
+		// Over a trained network, RunStream's chunks are the frames the
+		// subscription already holds, so a paced feed surfaces each match
+		// the moment its frame arrives while a backlog fills whole
+		// batches; over a surrogate every chunk is one frame. The queries
+		// on a feed share its memo: whichever reaches a frame first
+		// evaluates it, once, and the others wait on that entry.
 		eng := &query.Engine{Backend: backend, Detector: det, Tol: tol}
 		go func() {
 			defer s.wg.Done()
