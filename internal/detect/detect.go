@@ -40,6 +40,26 @@ type Detector interface {
 	Cost() simclock.Cost
 }
 
+// OrderInsensitive is implemented by detectors whose output depends only
+// on the frame, never on call order or call count — the property that
+// makes their results shareable across queries the way filter outputs are.
+// The Oracle qualifies (it copies ground truth); SimYOLO does not (its
+// jitter RNG advances per call).
+type OrderInsensitive interface {
+	Detector
+	// OrderInsensitiveDetections reports whether Detect(f) is a pure
+	// function of f.
+	OrderInsensitiveDetections() bool
+}
+
+// IsOrderInsensitive reports whether d declares per-frame deterministic,
+// order-independent output. Detectors that do not implement
+// OrderInsensitive are conservatively treated as order-sensitive.
+func IsOrderInsensitive(d Detector) bool {
+	oi, ok := d.(OrderInsensitive)
+	return ok && oi.OrderInsensitiveDetections()
+}
+
 // Oracle is the Mask R-CNN stand-in: perfect detections at 200 ms/frame of
 // virtual time. A nil Clock disables accounting.
 type Oracle struct {

@@ -1,86 +1,36 @@
 package detect
 
 import (
-	"sync"
-	"sync/atomic"
-
+	"vmq/internal/memo"
 	"vmq/internal/simclock"
 	"vmq/internal/video"
 )
 
-// OrderInsensitive is implemented by detectors whose output depends only
-// on the frame, never on call order or call count — the property that
-// makes their results shareable across queries the way filter outputs are.
-// The Oracle qualifies (it copies ground truth); SimYOLO does not (its
-// jitter RNG advances per call).
-type OrderInsensitive interface {
-	Detector
-	// OrderInsensitiveDetections reports whether Detect(f) is a pure
-	// function of f.
-	OrderInsensitiveDetections() bool
-}
-
-// IsOrderInsensitive reports whether d declares per-frame deterministic,
-// order-independent output. Detectors that do not implement
-// OrderInsensitive are conservatively treated as order-sensitive.
-func IsOrderInsensitive(d Detector) bool {
-	oi, ok := d.(OrderInsensitive)
-	return ok && oi.OrderInsensitiveDetections()
-}
-
-// Memo wraps an order-insensitive detector with a bounded per-frame
-// detection cache, mirroring filters.Shared for the confirmation stage:
-// queries sharing one oracle on a feed pay one Detect per frame — the
-// first query to confirm a frame runs the detector (and its clock
-// charge); every later query gets the cached detections. Entries are
-// keyed by frame pointer (the fan-out tee delivers the same *Frame to
-// every subscriber) and evicted FIFO beyond the capacity; eviction only
-// costs a re-evaluation, never correctness.
+// Memo wraps a detector whose output depends only on the frame with a
+// bounded per-frame detection cache (a memo.Cache), as filters.Shared
+// does for the filter stage: queries sharing one oracle on a feed pay one
+// Detect per frame — the first query to confirm a frame runs the detector
+// (and its clock charge); every later query gets the cached detections.
 //
 // The cached []Detection slice is returned to every caller and must be
-// treated as immutable. Wrapping an order-sensitive detector would change
-// its outputs (each frame would see one RNG draw instead of one per
-// query); NewMemo therefore refuses detectors that do not declare
-// OrderInsensitive.
+// treated as immutable. Wrapping a detector whose output depends on its
+// call history would change its outputs (each frame would see one RNG
+// draw instead of one per query); NewMemo therefore refuses detectors
+// that do not declare OrderInsensitive.
 type Memo struct {
-	inner    Detector
-	capacity int
-
-	mu      sync.Mutex
-	entries map[*video.Frame]*memoEntry
-	order   []*video.Frame
-
-	hits   atomic.Int64
-	misses atomic.Int64
-}
-
-// memoEntry latches one frame's detections: the creator fills dets and
-// closes ready; other callers wait and share. A panicking inner
-// detector poisons the entry (waiters re-panic with the same value
-// instead of blocking forever) and the entry leaves the cache so a
-// later confirmation retries rather than replaying the latched fault.
-type memoEntry struct {
-	ready  chan struct{}
-	dets   []Detection
-	poison any
+	inner Detector
+	cache *memo.Cache[[]Detection]
 }
 
 // NewMemo wraps inner with a detection cache of the given capacity
-// (frames; non-positive selects 4096). It returns nil if inner does not
-// declare itself order-insensitive — callers fall back to per-query
-// detectors exactly as before.
+// (frames; non-positive selects memo.DefaultCapacity). It returns nil if
+// inner does not declare OrderInsensitive — callers fall back to
+// per-query detectors.
 func NewMemo(inner Detector, capacity int) *Memo {
 	if !IsOrderInsensitive(inner) {
 		return nil
 	}
-	if capacity <= 0 {
-		capacity = 4096
-	}
-	return &Memo{
-		inner:    inner,
-		capacity: capacity,
-		entries:  make(map[*video.Frame]*memoEntry, capacity),
-	}
+	return &Memo{inner: inner, cache: memo.New[[]Detection](capacity)}
 }
 
 // Inner returns the wrapped detector.
@@ -88,67 +38,18 @@ func (m *Memo) Inner() Detector { return m.inner }
 
 // Stats reports cache hits (detections served without an inner Detect)
 // and misses (true detector evaluations) so far.
-func (m *Memo) Stats() (hits, misses int64) {
-	return m.hits.Load(), m.misses.Load()
-}
+func (m *Memo) Stats() (hits, misses int64) { return m.cache.Stats() }
 
-// Entries reports how many frames are currently memoised — bounded by the
-// construction capacity, so a long-running feed's memo reaches steady
-// state instead of retaining every frame it ever confirmed.
-func (m *Memo) Entries() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.entries)
-}
+// Entries reports how many frames are currently memoised; it never
+// exceeds the construction capacity.
+func (m *Memo) Entries() int { return m.cache.Entries() }
 
 // Detect implements Detector. The first caller for a frame runs the inner
 // detector (charging its clock once); concurrent callers for the same
 // frame block until it finishes and share the detections. Callers must
 // not mutate the returned slice.
 func (m *Memo) Detect(f *video.Frame) []Detection {
-	m.mu.Lock()
-	e, ok := m.entries[f]
-	if !ok {
-		e = &memoEntry{ready: make(chan struct{})}
-		m.entries[f] = e
-		m.order = append(m.order, f)
-		if len(m.order) > m.capacity {
-			oldest := m.order[0]
-			m.order = m.order[1:]
-			delete(m.entries, oldest)
-		}
-	}
-	m.mu.Unlock()
-	if ok {
-		m.hits.Add(1)
-		<-e.ready
-		if e.poison != nil {
-			panic(e.poison)
-		}
-		return e.dets
-	}
-	m.misses.Add(1)
-	dets, pval := func() (d []Detection, p any) {
-		defer func() {
-			if r := recover(); r != nil {
-				d, p = nil, r
-			}
-		}()
-		return m.inner.Detect(f), nil
-	}()
-	if pval != nil {
-		e.poison = pval
-		close(e.ready)
-		m.mu.Lock()
-		if cur, exists := m.entries[f]; exists && cur == e {
-			delete(m.entries, f)
-		}
-		m.mu.Unlock()
-		panic(pval)
-	}
-	e.dets = dets
-	close(e.ready)
-	return e.dets
+	return m.cache.Get(f, m.inner.Detect)
 }
 
 // Cost implements Detector: the virtual cost model is unchanged — each

@@ -107,3 +107,63 @@ func TestMemoBoundedUnderLongFeed(t *testing.T) {
 		t.Fatalf("distinct frames: hits=%d misses=%d, want 0/%d", hits, misses, total)
 	}
 }
+
+// faultyOracle panics on its first Detect of frame fail and counts every
+// call per frame, the panicking one included.
+type faultyOracle struct {
+	*Oracle
+	fail  *video.Frame
+	calls map[*video.Frame]int
+}
+
+func (o *faultyOracle) Detect(f *video.Frame) []Detection {
+	o.calls[f]++
+	if f == o.fail && o.calls[f] == 1 {
+		panic("injected detector fault")
+	}
+	return o.Oracle.Detect(f)
+}
+
+// A frame whose first Detect panicked is retried, and the retry keeps its
+// place in the eviction queue: the poisoned attempt's stale slot must not
+// evict the live entry, which would run the detector (and charge its
+// clock) a third time.
+func TestMemoRetryAfterPanicKeepsItsSlot(t *testing.T) {
+	p := video.Detrac()
+	frames := video.NewStream(p, 23).Take(2)
+	a, b := frames[0], frames[1]
+	inner := &faultyOracle{Oracle: NewOracle(nil), fail: a, calls: map[*video.Frame]int{}}
+	memo := NewMemo(inner, 2)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the injected fault must reach the caller")
+			}
+		}()
+		memo.Detect(a)
+	}()
+	memo.Detect(a)
+	memo.Detect(b)
+	memo.Detect(a)
+	if got := inner.calls[a]; got != 2 {
+		t.Fatalf("frame detected %d times (one poisoned, one retry), want 2", got)
+	}
+}
+
+// A hit allocates nothing, and a miss at most the entry and its latch:
+// the frames carry no objects, so the oracle itself allocates nothing.
+func TestMemoAllocs(t *testing.T) {
+	const runs = 50
+	empty := make([]*video.Frame, runs+1)
+	for i := range empty {
+		empty[i] = &video.Frame{Index: i}
+	}
+	memo := NewMemo(NewOracle(nil), 0)
+	next := 0
+	if n := testing.AllocsPerRun(runs, func() { memo.Detect(empty[next]); next++ }); n > 2 {
+		t.Errorf("miss: %v allocs, want <= 2", n)
+	}
+	if n := testing.AllocsPerRun(runs, func() { memo.Detect(empty[0]) }); n != 0 {
+		t.Errorf("hit: %v allocs, want 0", n)
+	}
+}

@@ -164,3 +164,79 @@ func TestSharedSerialisesUnsafeInner(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// faultyBackend panics on its first evaluation of frame fail and counts
+// every call per frame, the panicking one included.
+type faultyBackend struct {
+	Backend
+	fail  *video.Frame
+	calls map[*video.Frame]int
+}
+
+func (b *faultyBackend) Evaluate(f *video.Frame) *Output {
+	b.calls[f]++
+	if f == b.fail && b.calls[f] == 1 {
+		panic("injected backend fault")
+	}
+	return b.Backend.Evaluate(f)
+}
+
+// A frame whose first evaluation panicked is retried, and the retry keeps
+// its place in the eviction queue: the poisoned attempt's stale slot must
+// not evict the live entry, which would evaluate the frame a third time.
+func TestSharedRetryAfterPanicKeepsItsSlot(t *testing.T) {
+	p := video.Jackson()
+	frames := video.NewStream(p, 7).Take(2)
+	a, b := frames[0], frames[1]
+	inner := &faultyBackend{Backend: NewODFilter(p, 7, nil), fail: a, calls: map[*video.Frame]int{}}
+	shared := NewShared(inner, 2)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the injected fault must reach the caller")
+			}
+		}()
+		shared.Evaluate(a)
+	}()
+	shared.Evaluate(a)
+	shared.Evaluate(b)
+	shared.Evaluate(a)
+	if got := inner.calls[a]; got != 2 {
+		t.Fatalf("frame evaluated %d times (one poisoned, one retry), want 2", got)
+	}
+}
+
+// Memo bookkeeping must not tax the shared scan's allocations: a hit
+// allocates nothing, an all-hit batch only its claim slice, and an
+// all-miss batch at most 77 allocations over the bare batch evaluation
+// (two per frame for the latch plus the batch's own slices).
+func TestSharedAllocs(t *testing.T) {
+	p := video.Jackson()
+	const width, runs = 32, 10
+	inner := NewODFilter(p, 8, nil)
+	frames := video.NewStream(p, 8).Take(width * (runs + 1))
+	batches := func() func() []*video.Frame {
+		next := 0
+		return func() []*video.Frame {
+			b := frames[next : next+width]
+			next += width
+			return b
+		}
+	}
+	dst := make([]*Output, 0, width)
+
+	bare := batches()
+	bareAllocs := testing.AllocsPerRun(runs, func() { EvaluateBatchInto(inner, bare(), nil) })
+	shared := NewShared(inner, 0)
+	miss := batches()
+	missAllocs := testing.AllocsPerRun(runs, func() { shared.EvaluateBatch(miss(), dst[:0]) })
+	if over := missAllocs - bareAllocs; over > 77 {
+		t.Errorf("all-miss batch: %v allocs, %v over the bare evaluation's %v; want <= 77", missAllocs, over, bareAllocs)
+	}
+	if n := testing.AllocsPerRun(runs, func() { shared.EvaluateBatch(frames[:width], dst[:0]) }); n > 1 {
+		t.Errorf("all-hit batch: %v allocs, want <= 1", n)
+	}
+	if n := testing.AllocsPerRun(runs, func() { shared.Evaluate(frames[0]) }); n != 0 {
+		t.Errorf("single-frame hit: %v allocs, want 0", n)
+	}
+}

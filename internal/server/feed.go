@@ -56,10 +56,12 @@ type FeedConfig struct {
 	// register, the network runs once per frame. Nil selects the OD
 	// family over the profile (the paper's best performer).
 	Backend filters.Backend
-	// NewDetector builds one confirmation detector per registered query.
-	// Detectors carry call-order-sensitive state (SimYOLO's RNG), so they
-	// cannot be shared the way filter outputs can. Nil selects the
-	// Mask R-CNN-stand-in oracle.
+	// NewDetector builds the feed's confirmation detector. When it
+	// declares detect.OrderInsensitive (the default oracle does), the feed
+	// builds it once and every query confirms through one shared
+	// detect.Memo, so a frame is detected once however many queries reach
+	// it; otherwise (SimYOLO's RNG advances per call) each registered query
+	// gets its own. Nil selects the Mask R-CNN-stand-in oracle.
 	NewDetector func() detect.Detector
 	// FrameInterval paces the feed (e.g. 33 ms for a 30 fps camera).
 	// Zero runs as fast as the slowest query consumes.
@@ -208,7 +210,7 @@ type sharedEntry struct {
 
 // newSharedEntry memoises b on this feed, holding one reference for the
 // caller. The caller holds f.mu once the feed is reachable.
-func (f *feed) newSharedEntry(b filters.Backend, cacheCap int) *sharedEntry {
+func (f *feed) newSharedEntry(b filters.Backend) *sharedEntry {
 	// Trained backends that fingerprint an architecture identity route
 	// through the cross-feed broker: feeds serving the same model merge
 	// their evaluations into one GEMM, and the memo scatter below the
@@ -216,7 +218,7 @@ func (f *feed) newSharedEntry(b filters.Backend, cacheCap int) *sharedEntry {
 	// original backend so queries naming the same instance join the same
 	// memo.
 	wrapped := f.broker.Wrap(b)
-	e := &sharedEntry{key: b, sh: filters.NewShared(wrapped, cacheCap), refs: 1}
+	e := &sharedEntry{key: b, sh: filters.NewShared(wrapped, 0), refs: 1}
 	if m, ok := wrapped.(sched.Member); ok {
 		e.leave = m
 	}
@@ -241,8 +243,7 @@ func (f *feed) leaveBroker() {
 	}
 }
 
-func newFeed(cfg FeedConfig, srv Config, broker *sched.Broker) (*feed, error) {
-	fanoutBuffer, cacheCap := srv.FanoutBuffer, srv.SharedCacheCap
+func newFeed(cfg FeedConfig, fanoutBuffer int, broker *sched.Broker) (*feed, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("server: feed needs a name")
 	}
@@ -283,7 +284,7 @@ func newFeed(cfg FeedConfig, srv Config, broker *sched.Broker) (*feed, error) {
 	}
 	// The entry's first reference is the pump's, dropped when the fan-out
 	// finishes.
-	f.deflt = f.newSharedEntry(backend, cacheCap)
+	f.deflt = f.newSharedEntry(backend)
 
 	// drain cuts the source at the gate; frames already teed downstream
 	// still flow. Every pumped frame is stamped for the stall watchdog.
@@ -297,7 +298,7 @@ func newFeed(cfg FeedConfig, srv Config, broker *sched.Broker) (*feed, error) {
 	// Share one confirmation memo across queries when the feed's detector
 	// declares order-insensitive output (the oracle does): queries sharing
 	// the oracle pay one Detect per frame, mirroring the filter memo.
-	if memo := detect.NewMemo(newDet(), cacheCap); memo != nil {
+	if memo := detect.NewMemo(newDet(), 0); memo != nil {
 		f.detMemo = memo
 		f.newDet = func() detect.Detector { return memo }
 	} else {
@@ -344,7 +345,7 @@ func (f *feed) close() {
 // backend instance joins the same shared scan. A nil backend selects the
 // feed default. Each call must be paired with a release of the returned
 // entry.
-func (f *feed) sharedFor(b filters.Backend, cacheCap int) *sharedEntry {
+func (f *feed) sharedFor(b filters.Backend) *sharedEntry {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if b == nil {
@@ -354,7 +355,7 @@ func (f *feed) sharedFor(b filters.Backend, cacheCap int) *sharedEntry {
 		e.refs++
 		return e
 	}
-	return f.newSharedEntry(b, cacheCap)
+	return f.newSharedEntry(b)
 }
 
 // start launches the pump goroutine (once). A feed drained before its

@@ -8,14 +8,16 @@
 // for aggregates) on a channel. Per feed, a shared-scan schedule keeps
 // the marginal cost of another query near zero on the filter stage: the
 // feed is decoded once (stream.Fanout tees the same frames to every
-// query's pipeline) and each distinct filter backend is evaluated once
-// per frame (filters.Shared memoises outputs across the pipelines), so N
-// queries sharing a backend cost one network scan plus N cheap predicate
-// evaluations — only the per-query confirmation detectors scale with N,
-// and those the filters already keep rare. Each query still runs the
-// pipelined executor of internal/query end to end, which is what makes
-// its results field-identical to a standalone RunStream over the same
-// frames.
+// query's pipeline), each distinct filter backend is evaluated once per
+// frame (filters.Shared memoises outputs across the pipelines) and, when
+// the feed's detector declares detect.OrderInsensitive, each confirmed
+// frame is detected once (detect.Memo). Both memos are one memo.Cache of
+// fixed capacity, so N queries sharing a backend cost one network scan
+// plus N cheap predicate evaluations — only an order-sensitive detector
+// scales with N, and the filters already keep its calls rare. Each
+// query still runs the pipelined executor of internal/query end to end,
+// which is what makes its results field-identical to a standalone
+// RunStream over the same frames.
 package server
 
 import (
@@ -110,9 +112,6 @@ type Config struct {
 	// unlimited). Register returns ErrFeedBusy beyond it — admission
 	// control so one tenant cannot crowd a feed out.
 	MaxQueriesPerFeed int
-	// SharedCacheCap caps each shared filter memo, in frames
-	// (default 4096).
-	SharedCacheCap int
 	// CoalesceBatch caps a merged evaluation of the cross-feed inference
 	// broker (default 32): submissions from every feed whose backend
 	// shares an architecture/weights identity (filters.Coalescable) that
@@ -161,9 +160,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultPolicy == "" {
 		c.DefaultPolicy = rlog.Block
-	}
-	if c.SharedCacheCap <= 0 {
-		c.SharedCacheCap = 4096
 	}
 	if c.CoalesceBatch <= 0 {
 		c.CoalesceBatch = 32
@@ -231,7 +227,7 @@ func New(cfg Config) *Server {
 // immediately; feeds added before Start wait for it. A name freed by
 // RemoveFeed may be reused.
 func (s *Server) AddFeed(cfg FeedConfig) error {
-	f, err := newFeed(cfg, s.cfg, s.broker)
+	f, err := newFeed(cfg, s.cfg.FanoutBuffer, s.broker)
 	if err != nil {
 		return err
 	}
@@ -540,7 +536,7 @@ func (s *Server) register(q *vql.Query, opt Options, pin *recoveredQuery) (*Regi
 		}
 	}
 
-	entry := f.sharedFor(opt.Backend, s.cfg.SharedCacheCap)
+	entry := f.sharedFor(opt.Backend)
 	backend := entry.sh
 
 	r := &Registration{
