@@ -143,9 +143,9 @@ func EvaluateBatchInto(b Backend, frames []*video.Frame, dst []*Output) []*Outpu
 }
 
 // Parallel is implemented by backends that report their per-frame cost
-// and accept a worker hint. The trained backends ignore the hint: they
-// rasterise on GOMAXPROCS workers and run every GEMM on the calling
-// goroutine.
+// and accept a worker hint. The trained backends ignore the hint: each
+// batch call splits its frames into min(GOMAXPROCS, n) parts, and every
+// part is rasterised and forwarded on its own goroutine.
 type Parallel interface {
 	Backend
 	// SetEvalWorkers is a worker hint for later EvaluateBatch calls.

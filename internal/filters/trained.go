@@ -4,6 +4,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sync"
 
 	"vmq/internal/geom"
@@ -34,13 +35,10 @@ type Trained struct {
 
 	classes []video.Class
 
-	// arena and batch are the reusable inference buffers behind the
-	// batched forward pass; they are what makes Trained single-threaded
-	// (it deliberately does not implement ConcurrentBackend — the
-	// executors serialise its calls, and batching inside one call is where
-	// its parallelism comes from).
-	arena nn.Arena
-	batch *tensor.Tensor
+	// eval's reusable inference buffers make Trained single-threaded (not
+	// a ConcurrentBackend: the executors serialise its calls, and each
+	// call splits its frames across cores).
+	eval fanout
 
 	// keyOnce/key cache the CoalesceKey fingerprint (see coalesce.go).
 	keyOnce sync.Once
@@ -204,8 +202,7 @@ type TrainedCOF struct {
 	Img       int
 	NoiseSeed uint64
 
-	arena nn.Arena
-	batch *tensor.Tensor
+	eval fanout
 
 	keyOnce sync.Once
 	key     string
@@ -243,8 +240,8 @@ func (t *TrainedCOF) Technique() Technique { return OD }
 // Grid implements Backend; COF produces no location maps.
 func (t *TrainedCOF) Grid() int { return 1 }
 
-// SetEvalWorkers implements Parallel as a no-op (see
-// Trained.SetEvalWorkers).
+// SetEvalWorkers implements Parallel as a no-op: like Trained's,
+// EvaluateBatch sizes its own fan-out.
 func (t *TrainedCOF) SetEvalWorkers(int) {}
 
 // ForwardFlops implements Parallel.
@@ -253,25 +250,20 @@ func (t *TrainedCOF) ForwardFlops() int64 { return t.Net.ForwardFlops(3, t.Img, 
 // Evaluate implements Backend: only the total count is populated. Like
 // Trained, it routes through the batched pass with a batch of one.
 func (t *TrainedCOF) Evaluate(f *video.Frame) *Output {
-	var out [1]*Output
-	t.EvaluateBatch([]*video.Frame{f}, out[:0])
-	return out[0]
+	return t.EvaluateBatch([]*video.Frame{f}, nil)[0]
 }
 
 // EvaluateBatch implements BatchBackend for the count-only branch.
 func (t *TrainedCOF) EvaluateBatch(frames []*video.Frame, dst []*Output) []*Output {
-	if len(frames) == 0 {
-		return dst
+	t.Clock.Charge(OD.Cost(), int64(len(frames))) // no-op for an empty call
+	return t.eval.evaluate(t, frames, t.Img, t.NoiseSeed, dst)
+}
+
+func (t *TrainedCOF) forward(ar *nn.Arena, batch *tensor.Tensor, out []*Output) {
+	totals := t.Net.ForwardBatch(ar, batch)
+	for i := range out {
+		out[i] = &Output{Total: float64(totals.Data[i])}
 	}
-	t.Clock.Charge(OD.Cost(), int64(len(frames)))
-	var batch *tensor.Tensor
-	batch, t.batch = renderBatchInto(t.batch, frames, t.Img, t.NoiseSeed)
-	t.arena.Reset()
-	totals := t.Net.ForwardBatch(&t.arena, batch)
-	for i := range frames {
-		dst = append(dst, &Output{Total: float64(totals.Data[i])})
-	}
-	return dst
 }
 
 // NewUntrained builds a Trained backend with freshly initialised weights
@@ -318,8 +310,7 @@ func (t *Trained) Technique() Technique { return t.Tech }
 func (t *Trained) Grid() int { return t.Net.Grid() }
 
 // SetEvalWorkers implements Parallel as a no-op: EvaluateBatch always
-// rasterises on GOMAXPROCS workers and runs the forward pass on the
-// calling goroutine.
+// rasterises and forwards on min(GOMAXPROCS, frames) cores.
 func (t *Trained) SetEvalWorkers(int) {}
 
 // ForwardFlops implements Parallel: the per-frame multiply-add estimate
@@ -331,60 +322,89 @@ func (t *Trained) ForwardFlops() int64 { return t.Net.ForwardFlops(3, t.Img, t.I
 // bit-identical outputs (the batched kernels accumulate in the same order
 // for every batch width).
 func (t *Trained) Evaluate(f *video.Frame) *Output {
-	var out [1]*Output
-	t.EvaluateBatch([]*video.Frame{f}, out[:0])
-	return out[0]
+	return t.EvaluateBatch([]*video.Frame{f}, nil)[0]
 }
 
-// EvaluateBatch implements BatchBackend: the frames are rasterised into
-// one NCHW batch and pushed through a single ForwardBatch — one GEMM per
-// layer for the whole batch, no per-frame allocations — with the total
-// virtual cost charged in one clock transaction. Outputs are appended to
-// dst per the interface's aliasing rule.
+// EvaluateBatch implements BatchBackend: each core rasterises a part of
+// the frames and pushes it through one ForwardBatch (one GEMM per layer),
+// and the total virtual cost is charged in one clock transaction. Outputs
+// are appended to dst per the interface's aliasing rule.
 func (t *Trained) EvaluateBatch(frames []*video.Frame, dst []*Output) []*Output {
-	if len(frames) == 0 {
-		return dst
-	}
-	t.Clock.Charge(t.Tech.Cost(), int64(len(frames)))
-	var batch *tensor.Tensor
-	batch, t.batch = renderBatchInto(t.batch, frames, t.Img, t.NoiseSeed)
-	t.arena.Reset()
-	counts, maps := t.Net.ForwardBatch(&t.arena, batch)
-	g := t.Net.Grid()
+	t.Clock.Charge(t.Tech.Cost(), int64(len(frames))) // no-op for an empty call
+	return t.eval.evaluate(t, frames, t.Img, t.NoiseSeed, dst)
+}
+
+func (t *Trained) forward(ar *nn.Arena, batch *tensor.Tensor, out []*Output) {
+	counts, maps := t.Net.ForwardBatch(ar, batch)
+	g, nc := t.Net.Grid(), t.Net.Classes()
 	plane := g * g
-	nc := t.Net.Classes()
-	for i := range frames {
-		out := &Output{}
+	for i := range out {
+		o := &Output{}
 		for ci, cls := range t.classes {
 			v := float64(counts.Data[i*nc+ci])
-			out.Counts[cls] = v
-			out.Total += v
-			gm := grid.NewMap(g)
-			copy(gm.Cells, maps.Data[(i*nc+ci)*plane:(i*nc+ci+1)*plane])
-			out.Maps[cls] = gm.Threshold(t.Threshold)
+			o.Counts[cls] = v
+			o.Total += v
+			o.Maps[cls] = (&grid.Map{G: g, Cells: maps.Data[(i*nc+ci)*plane : (i*nc+ci+1)*plane]}).Threshold(t.Threshold)
 		}
-		dst = append(dst, out)
+		out[i] = o
 	}
-	return dst
 }
 
-// renderBatchInto rasterises frames into the reusable NCHW batch buffer
-// buf (grown when too small): frame n's CHW image is the contiguous slab
-// at n·3·img², so the rasteriser writes each frame in place with no
-// copies. It returns the N×3×img×img view over the frames just rendered
-// and the (possibly regrown) buffer for the caller to retain.
-//
-// This is the one place an evaluation decides how many cores it uses: the
-// rasteriser's pool gets GOMAXPROCS workers, and everything after it
-// (im2col, GEMMs, the head) runs on the calling goroutine.
-func renderBatchInto(buf *tensor.Tensor, frames []*video.Frame, img int, noiseSeed uint64) (batch, store *tensor.Tensor) {
-	n := len(frames)
-	if buf == nil || buf.Shape[0] < n {
-		// Headroom for fluctuating coalesced batch widths, mirroring
-		// nn.Arena's regrowth policy.
-		buf = tensor.New(n+n/4+1, 3, img, img)
+// forwarder runs one rasterised part through a trained network on ar.
+type forwarder interface {
+	forward(ar *nn.Arena, batch *tensor.Tensor, out []*Output)
+}
+
+// fanout holds a trained backend's NCHW batch buffer and one arena per
+// part, grown on demand; evaluate is the one place that sizes a fan-out.
+type fanout struct {
+	batch *tensor.Tensor
+	parts []struct {
+		arena  nn.Arena
+		failed any // the part's recovered panic, re-raised by evaluate
 	}
-	batch = &tensor.Tensor{Shape: []int{n, 3, img, img}, Data: buf.Data[:n*3*img*img]}
-	video.RenderBatchInto(batch, frames, noiseSeed, runtime.GOMAXPROCS(0))
-	return batch, buf
+}
+
+// evaluate splits frames into min(GOMAXPROCS, n) contiguous parts. The
+// caller runs part 0 and a goroutine each other part, so a one-frame call
+// starts none. Outputs land by index after dst's elements; they do not
+// depend on the split, as the batched kernels agree at every batch width.
+func (s *fanout) evaluate(b forwarder, frames []*video.Frame, img int, noiseSeed uint64, dst []*Output) []*Output {
+	n := len(frames)
+	if n == 0 {
+		return dst
+	}
+	parts := min(runtime.GOMAXPROCS(0), n)
+	if s.batch == nil || s.batch.Shape[0] < n {
+		// Headroom for fluctuating coalesced batch widths, as in nn.Arena.
+		s.batch = tensor.New(n+n/4+1, 3, img, img)
+	}
+	if len(s.parts) < parts {
+		s.parts = slices.Grow(s.parts, parts-len(s.parts))[:parts]
+	}
+	dst = slices.Grow(dst, n)
+	var wg sync.WaitGroup
+	wg.Add(parts)
+	for p := 1; p < parts; p++ {
+		go s.part(&wg, b, p, parts, frames, dst[len(dst):len(dst)+n], img, noiseSeed)
+	}
+	s.part(&wg, b, 0, parts, frames, dst[len(dst):len(dst)+n], img, noiseSeed)
+	wg.Wait()
+	for p := range parts {
+		if f := s.parts[p].failed; f != nil {
+			panic(f)
+		}
+	}
+	return dst[:len(dst)+n]
+}
+
+// part rasterises frame n's CHW image into the batch slab at n·3·img² and
+// forwards the part's slabs, recovering a panic for evaluate to re-raise.
+func (s *fanout) part(wg *sync.WaitGroup, b forwarder, p, parts int, frames []*video.Frame, out []*Output, img int, noiseSeed uint64) {
+	defer func() { s.parts[p].failed = recover(); wg.Done() }()
+	lo, hi := p*len(frames)/parts, (p+1)*len(frames)/parts
+	batch := &tensor.Tensor{Shape: []int{hi - lo, 3, img, img}, Data: s.batch.Data[lo*3*img*img : hi*3*img*img]}
+	video.RenderBatchInto(batch, frames[lo:hi], noiseSeed, 1)
+	s.parts[p].arena.Reset()
+	b.forward(&s.parts[p].arena, batch, out[lo:hi])
 }

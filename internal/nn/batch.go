@@ -28,10 +28,12 @@ import (
 
 // Arena is the reusable scratch allocator behind ForwardBatch. A forward
 // pass grabs buffers in a deterministic sequence, so after the first call
-// every buffer is reused and the pass allocates nothing per frame. An
-// Arena (and any tensor returned from a ForwardBatch using it) must not be
-// shared between concurrent forward passes; results are valid until the
-// arena's next Reset.
+// every buffer is reused and the pass allocates nothing per frame.
+// ForwardBatch only reads the network, so concurrent passes over one
+// network are safe with one Arena each — the trained filter backends run
+// one per core on disjoint parts of a batch. An Arena (and any tensor
+// returned from a ForwardBatch using it) must not be shared between
+// concurrent passes; results are valid until the arena's next Reset.
 type Arena struct {
 	slots [][]float32
 	next  int

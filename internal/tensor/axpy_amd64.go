@@ -191,13 +191,19 @@ func epilogueRowAVX512(seg []float32, b float32, act Act, slope float32) {
 }
 
 // maxPool2RowAVX512 is the 16-wide dispatch target for the k=2 pooling row.
+// An 8–15-output remainder takes one 8-wide AVX2 block before the scalar
+// loop: the backbones' 12- and 8-wide second pools are all remainder.
 func maxPool2RowAVX512(dst, r0, r1 []float32) {
-	n16 := len(dst) &^ 15
-	if n16 > 0 {
-		maxPool2x16(&dst[0], &r0[0], &r1[0], n16)
+	n := len(dst) &^ 15
+	if n > 0 {
+		maxPool2x16(&dst[0], &r0[0], &r1[0], n)
 	}
-	if n16 < len(dst) {
-		maxPool2RowGeneric(dst[n16:], r0[2*n16:], r1[2*n16:])
+	if len(dst)-n >= 8 {
+		maxPool2x8(&dst[n], &r0[2*n], &r1[2*n], 8)
+		n += 8
+	}
+	if n < len(dst) {
+		maxPool2RowGeneric(dst[n:], r0[2*n:], r1[2*n:])
 	}
 }
 
@@ -271,15 +277,10 @@ func hasAVX2() bool {
 // hasAVX512 reports whether the CPU and OS support the AVX-512 subset the
 // 16-wide kernels need: AVX512F + AVX512VL (CPUID.(7,0):EBX bits 16 and
 // 31) with the OS preserving opmask and ZMM state (XCR0 bits 5-7, on top
-// of the XMM/YMM bits).
+// of the XMM/YMM bits). It also requires AVX2, which the 16-wide pooling
+// row uses for its 8-output remainder.
 func hasAVX512() bool {
-	maxID, _, _, _ := cpuidex(0, 0)
-	if maxID < 7 {
-		return false
-	}
-	_, _, ecx1, _ := cpuidex(1, 0)
-	const osxsave = 1 << 27
-	if ecx1&osxsave == 0 {
+	if !hasAVX2() { // also confirms CPUID leaf 7 and OSXSAVE
 		return false
 	}
 	xcr0, _ := xgetbv0()

@@ -19,8 +19,8 @@ import "fmt"
 //
 // The multiply always runs on the calling goroutine. How many cores one
 // batch evaluation uses is decided once, above this package: the trained
-// filter backends hand the rasteriser its worker count, and nothing below
-// them fans out.
+// filter backends split a batch's frames into one part per core, and
+// nothing below them fans out.
 
 // gemmNC is the column block: 4 dst segments of gemmNC floats plus one
 // b-row segment must stay L1-resident across the k loop.

@@ -3,7 +3,6 @@ package video
 import (
 	"math/rand/v2"
 	"sync"
-	"sync/atomic"
 
 	"vmq/internal/tensor"
 )
@@ -79,12 +78,10 @@ func RenderInto(img *tensor.Tensor, f *Frame, noiseSeed uint64) *tensor.Tensor {
 }
 
 // RenderBatchInto rasterises frames[i] into the i'th contiguous 3×H×W slab
-// of batch (shape N×3×H×W with N ≥ len(frames)), fanning the frames across
-// at most workers goroutines. Each frame writes only its own disjoint slab
-// and each frame's noise stream is keyed by (frame index, noiseSeed)
-// alone, so the rendered bytes are identical to sequential RenderInto
-// calls regardless of worker count or completion order. workers <= 1
-// renders inline on the caller's goroutine. It returns batch.
+// of batch (shape N×3×H×W with N ≥ len(frames)) on the caller's
+// goroutine, with the same bytes as sequential RenderInto calls. workers
+// is ignored: the trained filter backends split a batch across cores
+// above this call, one part per core. It returns batch.
 func RenderBatchInto(batch *tensor.Tensor, frames []*Frame, noiseSeed uint64, workers int) *tensor.Tensor {
 	if batch.Rank() != 4 || batch.Shape[1] != 3 {
 		panic("video: RenderBatchInto needs an Nx3xHxW tensor")
@@ -94,35 +91,11 @@ func RenderBatchInto(batch *tensor.Tensor, frames []*Frame, noiseSeed uint64, wo
 	}
 	h, w := batch.Shape[2], batch.Shape[3]
 	slab := 3 * h * w
-	if workers > len(frames) {
-		workers = len(frames)
+	view := tensor.Tensor{Shape: []int{3, h, w}}
+	for i, f := range frames {
+		view.Data = batch.Data[i*slab : (i+1)*slab]
+		RenderInto(&view, f, noiseSeed)
 	}
-	if workers <= 1 {
-		view := tensor.Tensor{Shape: []int{3, h, w}}
-		for i, f := range frames {
-			view.Data = batch.Data[i*slab : (i+1)*slab]
-			RenderInto(&view, f, noiseSeed)
-		}
-		return batch
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for wk := 0; wk < workers; wk++ {
-		go func() {
-			defer wg.Done()
-			view := tensor.Tensor{Shape: []int{3, h, w}}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(frames) {
-					return
-				}
-				view.Data = batch.Data[i*slab : (i+1)*slab]
-				RenderInto(&view, frames[i], noiseSeed)
-			}
-		}()
-	}
-	wg.Wait()
 	return batch
 }
 
