@@ -1,8 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation. Each benchmark runs the corresponding experiment harness at
 // a benchmark-friendly scale and reports domain-specific metrics alongside
-// ns/op; run the cmd/vmq binary ("vmq experiment -name all -frames 0") for
-// the full paper-scale output recorded in EXPERIMENTS.md.
+// ns/op; TestPaperFiguresExact pins those metrics bit for bit. Run
+// "vmq experiment -name all -frames 0" for the full paper-scale tables.
 package vmq_test
 
 import (
@@ -16,7 +16,6 @@ import (
 	"vmq/internal/filters"
 	"vmq/internal/grid"
 	"vmq/internal/query"
-	"vmq/internal/rlog"
 	"vmq/internal/server"
 	"vmq/internal/stream"
 	"vmq/internal/tensor"
@@ -29,166 +28,128 @@ func benchConfig() experiments.Config {
 	return experiments.Config{Frames: 1000, Seed: 20, Repetitions: 3}
 }
 
-// BenchmarkTableII regenerates Table II (dataset characteristics).
-func BenchmarkTableII(b *testing.B) {
-	var rows []experiments.TableIIRow
-	for i := 0; i < b.N; i++ {
-		rows = experiments.TableII(benchConfig())
-	}
-	b.StopTimer()
-	r := rows[2] // detrac, the densest stream
-	b.ReportMetric(r.MeasuredMean, "obj/frame")
-	b.ReportMetric(r.MeasuredStd, "std")
-}
-
-// BenchmarkFigure7 regenerates Figure 7 (count-filter accuracy).
-func BenchmarkFigure7(b *testing.B) {
-	var rows []experiments.Figure7Row
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Figure7(benchConfig())
-	}
-	b.StopTimer()
-	for _, r := range rows {
-		if r.Dataset == "detrac" && r.Filter == "OD-CF" {
-			b.ReportMetric(r.Exact, "detrac-ODCF-exact")
-			b.ReportMetric(r.Within2, "detrac-ODCF-±2")
+// paperFigures runs each paper benchmark's experiment and returns the
+// metrics it reports, keyed by unit. The benchmarks report them and
+// TestPaperFiguresExact pins them.
+var paperFigures = map[string]func(experiments.Config) map[string]float64{
+	// Table II (dataset characteristics): detrac, the densest stream.
+	"TableII": func(cfg experiments.Config) map[string]float64 {
+		r := experiments.TableII(cfg)[2]
+		return map[string]float64{"obj/frame": r.MeasuredMean, "std": r.MeasuredStd}
+	},
+	// Figure 7 (count-filter accuracy).
+	"Figure7": func(cfg experiments.Config) map[string]float64 {
+		m := map[string]float64{}
+		for _, r := range experiments.Figure7(cfg) {
+			if r.Dataset == "detrac" && r.Filter == "OD-CF" {
+				m["detrac-ODCF-exact"] = r.Exact
+				m["detrac-ODCF-±2"] = r.Within2
+			}
 		}
-	}
-}
-
-// BenchmarkFigure11 regenerates Figures 8–10 (per-class CCF accuracy).
-func BenchmarkFigure11(b *testing.B) {
-	var rows []experiments.Figure11Row
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Figure11(benchConfig())
-	}
-	b.StopTimer()
-	for _, r := range rows {
-		if r.Dataset == "jackson" && r.Filter == "IC-CCF" && r.Class == "car" {
-			b.ReportMetric(r.Exact, "jackson-ICCCF-car-exact")
+		return m
+	},
+	// Figures 8–10 (per-class CCF accuracy).
+	"Figure11": func(cfg experiments.Config) map[string]float64 {
+		m := map[string]float64{}
+		for _, r := range experiments.Figure11(cfg) {
+			if r.Dataset == "jackson" && r.Filter == "IC-CCF" && r.Class == "car" {
+				m["jackson-ICCCF-car-exact"] = r.Exact
+			}
 		}
-	}
-}
-
-// BenchmarkFigure15 regenerates Figures 12–14 (per-class CLF f1).
-func BenchmarkFigure15(b *testing.B) {
-	var rows []experiments.Figure15Row
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Figure15(benchConfig())
-	}
-	b.StopTimer()
-	for _, r := range rows {
-		if r.Dataset == "detrac" && r.Class == "car" {
-			b.ReportMetric(r.F1, r.Filter+"-f1")
+		return m
+	},
+	// Figures 12–14 (per-class CLF f1).
+	"Figure15": func(cfg experiments.Config) map[string]float64 {
+		m := map[string]float64{}
+		for _, r := range experiments.Figure15(cfg) {
+			if r.Dataset == "detrac" && r.Class == "car" {
+				m[r.Filter+"-f1"] = r.F1
+			}
 		}
-	}
-}
-
-// BenchmarkTableIII regenerates Table III (q1–q7 cascade execution).
-func BenchmarkTableIII(b *testing.B) {
-	var rows []experiments.TableIIIRow
-	for i := 0; i < b.N; i++ {
-		rows = experiments.TableIII(benchConfig())
-	}
-	b.StopTimer()
-	var minSpeedup, minAcc = 1e9, 1.0
-	for _, r := range rows {
-		if r.Speedup < minSpeedup {
-			minSpeedup = r.Speedup
+		return m
+	},
+	// Table III (q1–q7 cascade execution).
+	"TableIII": func(cfg experiments.Config) map[string]float64 {
+		minSpeedup, minAcc := 1e9, 1.0
+		for _, r := range experiments.TableIII(cfg) {
+			minSpeedup = min(minSpeedup, r.Speedup)
+			minAcc = min(minAcc, r.Accuracy)
 		}
-		if r.Accuracy < minAcc {
-			minAcc = r.Accuracy
+		return map[string]float64{"min-speedup-x": minSpeedup, "min-accuracy": minAcc}
+	},
+	// Table IV (aggregate control-variate variance reduction).
+	"TableIV": func(cfg experiments.Config) map[string]float64 {
+		m := map[string]float64{}
+		for _, r := range experiments.TableIV(cfg) {
+			m[r.Query+"-varRed-x"] = r.MeanReduction
 		}
-	}
-	b.ReportMetric(minSpeedup, "min-speedup-x")
-	b.ReportMetric(minAcc, "min-accuracy")
-}
-
-// BenchmarkTableIV regenerates Table IV (aggregate CV variance reduction).
-func BenchmarkTableIV(b *testing.B) {
-	var rows []experiments.TableIVRow
-	for i := 0; i < b.N; i++ {
-		rows = experiments.TableIV(benchConfig())
-	}
-	b.StopTimer()
-	for _, r := range rows {
-		b.ReportMetric(r.MeanReduction, r.Query+"-varRed-x")
-	}
-}
-
-// BenchmarkTableIVHighFidelity runs the control-variate ablation with the
-// near-saturation filter calibration, showing paper-scale reductions.
-func BenchmarkTableIVHighFidelity(b *testing.B) {
-	var rows []experiments.TableIVRow
-	for i := 0; i < b.N; i++ {
-		rows = experiments.TableIVHighFidelity(benchConfig())
-	}
-	b.StopTimer()
-	var maxRed float64
-	for _, r := range rows {
-		if r.MeanReduction > maxRed {
-			maxRed = r.MeanReduction
+		return m
+	},
+	// The control-variate ablation under the near-saturation filter
+	// calibration, showing paper-scale reductions.
+	"TableIVHighFidelity": func(cfg experiments.Config) map[string]float64 {
+		var maxRed float64
+		for _, r := range experiments.TableIVHighFidelity(cfg) {
+			maxRed = max(maxRed, r.MeanReduction)
 		}
-	}
-	b.ReportMetric(maxRed, "max-varRed-x")
-}
-
-// BenchmarkPlanner runs the automatic filter-selection optimizer across
-// q1–q7 (the paper's future-work direction).
-func BenchmarkPlanner(b *testing.B) {
-	var rows []experiments.PlannerRow
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Planner(benchConfig())
-	}
-	b.StopTimer()
-	var minAcc = 1.0
-	for _, r := range rows {
-		if r.Accuracy < minAcc {
-			minAcc = r.Accuracy
+		return map[string]float64{"max-varRed-x": maxRed}
+	},
+	// The automatic filter-selection optimizer across q1–q7 (the paper's
+	// future-work direction).
+	"Planner": func(cfg experiments.Config) map[string]float64 {
+		minAcc := 1.0
+		for _, r := range experiments.Planner(cfg) {
+			minAcc = min(minAcc, r.Accuracy)
 		}
-	}
-	b.ReportMetric(minAcc, "min-accuracy")
-}
-
-// BenchmarkConstraintAccuracy regenerates the Section IV-A constraint
-// comparison (paper: 99 % agreement).
-func BenchmarkConstraintAccuracy(b *testing.B) {
-	var r experiments.ConstraintAccuracyResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.ConstraintAccuracy(benchConfig())
-	}
-	b.StopTimer()
-	b.ReportMetric(r.Agreement, "agreement")
-}
-
-// BenchmarkBranchTradeoff runs the branch-placement ablation (grid
-// 56/28/14) the paper discusses in Section IV.
-func BenchmarkBranchTradeoff(b *testing.B) {
-	var rows []experiments.BranchTradeoffRow
-	for i := 0; i < b.N; i++ {
-		rows = experiments.BranchTradeoff(benchConfig())
-	}
-	b.StopTimer()
-	for _, r := range rows {
-		switch r.GridSize {
-		case 56:
-			b.ReportMetric(r.SpatialF1, "g56-f1")
-		case 14:
-			b.ReportMetric(r.SpatialF1, "g14-f1")
+		return map[string]float64{"min-accuracy": minAcc}
+	},
+	// The Section IV-A constraint comparison (paper: 99 % agreement).
+	"ConstraintAccuracy": func(cfg experiments.Config) map[string]float64 {
+		return map[string]float64{"agreement": experiments.ConstraintAccuracy(cfg).Agreement}
+	},
+	// The branch-placement ablation (grid 56/28/14) of Section IV.
+	"BranchTradeoff": func(cfg experiments.Config) map[string]float64 {
+		m := map[string]float64{}
+		for _, r := range experiments.BranchTradeoff(cfg) {
+			switch r.GridSize {
+			case 56:
+				m["g56-f1"] = r.SpatialF1
+			case 14:
+				m["g14-f1"] = r.SpatialF1
+			}
 		}
+		return m
+	},
+	// The anomaly-flagging experiment from the evaluation introduction.
+	"UnexpectedObjects": func(cfg experiments.Config) map[string]float64 {
+		return map[string]float64{"recall": experiments.UnexpectedObjects(cfg).Recall}
+	},
+}
+
+// benchPaperFigure times one paperFigures entry at benchConfig() scale
+// and reports its metrics.
+func benchPaperFigure(b *testing.B, name string) {
+	var m map[string]float64
+	for i := 0; i < b.N; i++ {
+		m = paperFigures[name](benchConfig())
+	}
+	b.StopTimer()
+	for unit, v := range m {
+		b.ReportMetric(v, unit)
 	}
 }
 
-// BenchmarkUnexpectedObjects runs the anomaly-flagging experiment from the
-// evaluation introduction.
-func BenchmarkUnexpectedObjects(b *testing.B) {
-	var r experiments.UnexpectedObjectsResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.UnexpectedObjects(benchConfig())
-	}
-	b.StopTimer()
-	b.ReportMetric(r.Recall, "recall")
-}
+func BenchmarkTableII(b *testing.B)             { benchPaperFigure(b, "TableII") }
+func BenchmarkFigure7(b *testing.B)             { benchPaperFigure(b, "Figure7") }
+func BenchmarkFigure11(b *testing.B)            { benchPaperFigure(b, "Figure11") }
+func BenchmarkFigure15(b *testing.B)            { benchPaperFigure(b, "Figure15") }
+func BenchmarkTableIII(b *testing.B)            { benchPaperFigure(b, "TableIII") }
+func BenchmarkTableIV(b *testing.B)             { benchPaperFigure(b, "TableIV") }
+func BenchmarkTableIVHighFidelity(b *testing.B) { benchPaperFigure(b, "TableIVHighFidelity") }
+func BenchmarkPlanner(b *testing.B)             { benchPaperFigure(b, "Planner") }
+func BenchmarkConstraintAccuracy(b *testing.B)  { benchPaperFigure(b, "ConstraintAccuracy") }
+func BenchmarkBranchTradeoff(b *testing.B)      { benchPaperFigure(b, "BranchTradeoff") }
+func BenchmarkUnexpectedObjects(b *testing.B)   { benchPaperFigure(b, "UnexpectedObjects") }
 
 // --- Engine benchmarks: sequential loop vs pipelined streaming executor ---
 
@@ -327,116 +288,6 @@ func BenchmarkRunStreamTrainedPerFrame(b *testing.B) {
 	b.ReportMetric(float64(len(frames))*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
 }
 
-// --- Server benchmarks: shared-scan fan-out vs independent queries ---
-
-// benchServerQueries is the standing-query fleet both fan-out benchmarks
-// run: the same predicate registered nQueries times over one 512-frame
-// Jackson clip.
-const benchServerQueries = 8
-
-func benchServerClip(b *testing.B) (video.Profile, []*video.Frame, *query.Plan) {
-	b.Helper()
-	p := video.Jackson()
-	q, err := vql.Parse(`SELECT FRAMES FROM jackson WHERE COUNT(car) = 1`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return p, video.NewStream(p, 15).Take(512), query.MustBind(q, p)
-}
-
-// benchCountingBackend counts true filter evaluations.
-type benchCountingBackend struct {
-	filters.Backend
-	mu    sync.Mutex
-	calls int
-}
-
-func (c *benchCountingBackend) Evaluate(f *video.Frame) *filters.Output {
-	c.mu.Lock()
-	c.calls++
-	c.mu.Unlock()
-	return c.Backend.Evaluate(f)
-}
-
-func (c *benchCountingBackend) ConcurrentSafe() bool { return filters.ConcurrentSafe(c.Backend) }
-
-// BenchmarkServerFanout runs benchServerQueries identical queries through
-// the continuous-query server's shared-scan schedule: the feed is decoded
-// once and the filter backend evaluated once per frame for the whole
-// fleet. The backend-evals/frame metric should sit at ~1.0 — 1/N the
-// invocations of the independent baseline below — while every query's
-// results stay identical to a standalone run (enforced by test).
-func BenchmarkServerFanout(b *testing.B) {
-	p, frames, _ := benchServerClip(b)
-	totalEvals := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		counting := &benchCountingBackend{Backend: filters.NewODFilter(p, 15, nil)}
-		srv := server.New(server.Config{})
-		if err := srv.AddFeed(server.FeedConfig{
-			Name: p.Name, Profile: p,
-			Source:  &stream.SliceSource{Frames: frames},
-			Backend: counting,
-		}); err != nil {
-			b.Fatal(err)
-		}
-		regs := make([]*server.Registration, benchServerQueries)
-		for j := range regs {
-			q, _ := vql.Parse(`SELECT FRAMES FROM jackson WHERE COUNT(car) = 1`)
-			reg, err := srv.Register(q, server.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			regs[j] = reg
-		}
-		srv.Start()
-		var wg sync.WaitGroup
-		for _, reg := range regs {
-			wg.Add(1)
-			go func(reg *server.Registration) {
-				defer wg.Done()
-				for range reg.Results() {
-				}
-			}(reg)
-		}
-		wg.Wait()
-		srv.Close()
-		totalEvals += counting.calls
-	}
-	b.ReportMetric(float64(totalEvals)/float64(b.N*len(frames)), "backend-evals/frame")
-	b.ReportMetric(float64(len(frames)*benchServerQueries)*float64(b.N)/b.Elapsed().Seconds(), "query-frames/s")
-}
-
-// BenchmarkServerFanoutIndependent is the baseline the shared scan is
-// measured against: the same fleet of queries each running a standalone
-// RunStream over the clip, so the filter backend is evaluated N times per
-// frame.
-func BenchmarkServerFanoutIndependent(b *testing.B) {
-	p, frames, plan := benchServerClip(b)
-	totalEvals := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		counting := &benchCountingBackend{Backend: filters.NewODFilter(p, 15, nil)}
-		var wg sync.WaitGroup
-		for j := 0; j < benchServerQueries; j++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				eng := &query.Engine{
-					Backend:  counting,
-					Detector: detect.NewOracle(nil),
-					Tol:      query.Tolerances{Count: 1, Location: 1},
-				}
-				eng.RunStream(plan, &stream.SliceSource{Frames: frames}, len(frames))
-			}()
-		}
-		wg.Wait()
-		totalEvals += counting.calls
-	}
-	b.ReportMetric(float64(totalEvals)/float64(b.N*len(frames)), "backend-evals/frame")
-	b.ReportMetric(float64(len(frames)*benchServerQueries)*float64(b.N)/b.Elapsed().Seconds(), "query-frames/s")
-}
-
 // --- Server benchmarks: cross-feed inference coalescing ---
 
 // benchGEMMCounter counts true batch evaluations (one GEMM sequence per
@@ -541,245 +392,6 @@ func BenchmarkServerPerFeedScan(b *testing.B) {
 	fps, calls := benchCoalesceFleet(b, server.Config{CoalesceBatch: 1})
 	b.ReportMetric(fps, "frames/s")
 	b.ReportMetric(calls, "gemm-calls/frame")
-}
-
-// BenchmarkServerPerFeedScanSSE is BenchmarkServerPerFeedScan on the
-// SSE-baseline kernel (the amd64 default before runtime AVX2 dispatch
-// landed).
-func BenchmarkServerPerFeedScanSSE(b *testing.B) {
-	prev := tensor.Kernel()
-	if err := tensor.SetKernel("sse"); err != nil {
-		b.Skipf("SSE kernel unavailable: %v", err)
-	}
-	defer tensor.SetKernel(prev)
-	fps, calls := benchCoalesceFleet(b, server.Config{CoalesceBatch: 1})
-	b.ReportMetric(fps, "frames/s")
-	b.ReportMetric(calls, "gemm-calls/frame")
-}
-
-// --- Server benchmarks: result delivery under consumer pressure ---
-
-// benchDeliveryFleet serves one feed to benchDeliveryQueries match-heavy
-// queries (COUNT >= 0: every frame is a match event, the worst delivery
-// load). With stall set, one registration is never consumed — the
-// scenario that wedged the whole feed under the old lossless channels
-// once its buffers filled; under drop-oldest its result log sheds
-// instead, and the feed's scan rate must be indistinguishable from the
-// all-drained baseline. Returns the feed's frames/s and the events
-// dropped per iteration across the fleet (≈0 when everyone drains).
-const (
-	benchDeliveryQueries = 4
-	benchDeliveryFrames  = 1500
-)
-
-func benchDeliveryFleet(b *testing.B, stall bool) (framesPerSec, droppedPerOp float64) {
-	b.Helper()
-	p := video.Jackson()
-	frames := video.NewStream(p, 55).Take(benchDeliveryFrames)
-	var dropped int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		srv := server.New(server.Config{})
-		if err := srv.AddFeed(server.FeedConfig{
-			Name: p.Name, Profile: p,
-			Source:  &stream.SliceSource{Frames: frames},
-			Backend: filters.NewODFilter(p, 55, nil),
-		}); err != nil {
-			b.Fatal(err)
-		}
-		regs := make([]*server.Registration, benchDeliveryQueries)
-		for j := range regs {
-			q, _ := vql.Parse(`SELECT FRAMES FROM jackson WHERE COUNT(car) >= 0`)
-			var err error
-			regs[j], err = srv.Register(q, server.Options{Policy: rlog.DropOldest, ResultBuffer: 32})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		srv.Start()
-		var wg sync.WaitGroup
-		for j, reg := range regs {
-			if stall && j == 0 {
-				continue // deliberately abandoned: no consumer ever attaches
-			}
-			wg.Add(1)
-			go func(reg *server.Registration) {
-				defer wg.Done()
-				for range reg.Results() {
-				}
-			}(reg)
-		}
-		wg.Wait()
-		for _, reg := range regs {
-			<-reg.Done()
-			dropped += reg.Log().Dropped()
-		}
-		srv.Close()
-	}
-	return float64(benchDeliveryFrames) * float64(b.N) / b.Elapsed().Seconds(),
-		float64(dropped) / float64(b.N)
-}
-
-// BenchmarkServerDeliveryDrained is the healthy baseline: every
-// consumer keeps up, nothing drops.
-func BenchmarkServerDeliveryDrained(b *testing.B) {
-	fps, dropped := benchDeliveryFleet(b, false)
-	b.ReportMetric(fps, "frames/s")
-	b.ReportMetric(dropped, "dropped-events")
-}
-
-// BenchmarkServerDeliveryStalledConsumer abandons one of the four
-// consumers. The headline check (recorded in README, warned on by
-// benchjson -compare): frames/s stays at the drained baseline — the
-// stalled query sheds into its own ring instead of back-pressuring the
-// shared scan — and dropped-events accounts exactly for what it shed.
-func BenchmarkServerDeliveryStalledConsumer(b *testing.B) {
-	fps, dropped := benchDeliveryFleet(b, true)
-	b.ReportMetric(fps, "frames/s")
-	b.ReportMetric(dropped, "dropped-events")
-}
-
-// BenchmarkServerAckedConsumer runs the delivery fleet with every
-// consumer in exactly-once mode: block-policy logs, and each event is
-// acknowledged as it is read, so the retention floor tracks the acked
-// position the whole run. This prices the ack path (a lock, a floor
-// recompute, a possible writer wake) against the fire-and-forget
-// drained baseline; nothing may drop.
-func BenchmarkServerAckedConsumer(b *testing.B) {
-	p := video.Jackson()
-	frames := video.NewStream(p, 55).Take(benchDeliveryFrames)
-	var dropped, acked int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		srv := server.New(server.Config{})
-		if err := srv.AddFeed(server.FeedConfig{
-			Name: p.Name, Profile: p,
-			Source:  &stream.SliceSource{Frames: frames},
-			Backend: filters.NewODFilter(p, 55, nil),
-		}); err != nil {
-			b.Fatal(err)
-		}
-		regs := make([]*server.Registration, benchDeliveryQueries)
-		for j := range regs {
-			q, _ := vql.Parse(`SELECT FRAMES FROM jackson WHERE COUNT(car) >= 0`)
-			var err error
-			regs[j], err = srv.Register(q, server.Options{Policy: rlog.Block, ResultBuffer: 32})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		srv.Start()
-		var wg sync.WaitGroup
-		for _, reg := range regs {
-			wg.Add(1)
-			go func(reg *server.Registration) {
-				defer wg.Done()
-				r := reg.ResultsFrom(0)
-				defer r.Detach()
-				for {
-					it, ok := r.Next(nil)
-					if !ok {
-						return
-					}
-					r.Ack(it.Seq)
-				}
-			}(reg)
-		}
-		wg.Wait()
-		for _, reg := range regs {
-			<-reg.Done()
-			dropped += reg.Log().Dropped()
-			acked += reg.Log().AckedSeq() + 1
-		}
-		srv.Close()
-	}
-	b.ReportMetric(float64(benchDeliveryFrames)*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
-	b.ReportMetric(float64(dropped)/float64(b.N), "dropped-events")
-	b.ReportMetric(float64(acked)/float64(b.N), "acked-events")
-}
-
-// benchIngestFleet serves one feed to benchDeliveryQueries queries,
-// either file-decoded (the SliceSource path every recorded-clip feed
-// uses) or fed the same frames through the push-ingestion bridge's ring.
-// The pair bounds the bridge's overhead: PushIngest must stay within 20%
-// of FileIngest, or admission control is taxing the scan it feeds.
-func benchIngestFleet(b *testing.B, pushFed bool) (framesPerSec, ingestDroppedPerOp float64) {
-	b.Helper()
-	p := video.Jackson()
-	frames := video.NewStream(p, 55).Take(benchDeliveryFrames)
-	var dropped int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		srv := server.New(server.Config{})
-		cfg := server.FeedConfig{
-			Name: p.Name, Profile: p,
-			Backend: filters.NewODFilter(p, 55, nil),
-		}
-		var push *stream.PushSource
-		if pushFed {
-			push = stream.NewPushSource(256, stream.PushBlock)
-			cfg.Source = push
-		} else {
-			cfg.Source = &stream.SliceSource{Frames: frames}
-		}
-		if err := srv.AddFeed(cfg); err != nil {
-			b.Fatal(err)
-		}
-		regs := make([]*server.Registration, benchDeliveryQueries)
-		for j := range regs {
-			q, _ := vql.Parse(`SELECT FRAMES FROM jackson WHERE COUNT(car) >= 0`)
-			var err error
-			regs[j], err = srv.Register(q, server.Options{Policy: rlog.DropOldest, ResultBuffer: 32})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		srv.Start()
-		if pushFed {
-			go func() {
-				for _, f := range frames {
-					if err := push.Publish(f, nil); err != nil {
-						return
-					}
-				}
-				push.Close()
-			}()
-		}
-		var wg sync.WaitGroup
-		for _, reg := range regs {
-			wg.Add(1)
-			go func(reg *server.Registration) {
-				defer wg.Done()
-				for range reg.Results() {
-				}
-			}(reg)
-		}
-		wg.Wait()
-		if pushFed {
-			dropped += push.Dropped()
-		}
-		srv.Close()
-	}
-	return float64(benchDeliveryFrames) * float64(b.N) / b.Elapsed().Seconds(),
-		float64(dropped) / float64(b.N)
-}
-
-// BenchmarkServerFileIngest is the file-decoded baseline for the push
-// bridge comparison.
-func BenchmarkServerFileIngest(b *testing.B) {
-	fps, dropped := benchIngestFleet(b, false)
-	b.ReportMetric(fps, "frames/s")
-	b.ReportMetric(dropped, "ingest-dropped")
-}
-
-// BenchmarkServerPushIngest drives the same clip through a block-policy
-// ingest ring. The headline check (benchjson -compare warns on it):
-// frames/s within 20% of BenchmarkServerFileIngest and ingest-dropped
-// stays 0 — the block policy is lossless.
-func BenchmarkServerPushIngest(b *testing.B) {
-	fps, dropped := benchIngestFleet(b, true)
-	b.ReportMetric(fps, "frames/s")
-	b.ReportMetric(dropped, "ingest-dropped")
 }
 
 // --- Micro-benchmarks: per-operation costs of the building blocks ---

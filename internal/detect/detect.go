@@ -15,6 +15,8 @@
 package detect
 
 import (
+	"errors"
+	"fmt"
 	"math/rand/v2"
 
 	"vmq/internal/geom"
@@ -176,6 +178,22 @@ func mergeOverlaps(dets []Detection, iou float64) []Detection {
 		kept = append(kept, dets[i])
 	}
 	return kept
+}
+
+// ErrUnknownDetector is returned by ByName for a name it does not know.
+var ErrUnknownDetector = errors.New("detect: unknown detector")
+
+// ByName builds the detector a query's USING clause names: "maskrcnn" or
+// "oracle" the exact annotator, "yolo" or "yolov2" the simulated
+// full-YOLOv2 pass seeded with seed.
+func ByName(name string, clock *simclock.Clock, seed uint64) (Detector, error) {
+	switch name {
+	case "maskrcnn", "oracle":
+		return NewOracle(clock), nil
+	case "yolo", "yolov2":
+		return NewSimYOLO(clock, seed), nil
+	}
+	return nil, fmt.Errorf("%w %q in USING clause", ErrUnknownDetector, name)
 }
 
 // Noisy wraps a detector with an error model for failure-injection

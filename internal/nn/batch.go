@@ -203,9 +203,8 @@ func linearForwardBatchFM(ar *Arena, l *Linear, x *tensor.Tensor) *tensor.Tensor
 }
 
 // ForwardFlops estimates the multiply-add flops one frame of a c×h×w input
-// costs through the stack — the GEMM terms only, which dominate. The
-// coalescing broker multiplies this by the merged batch width to decide
-// whether a flush is worth fanning across cores.
+// costs through the stack — the GEMM terms only, which dominate. Nothing
+// schedules on it: filters.ForwardFlopsOf only reports it.
 func (s *Sequential) ForwardFlops(c, h, w int) int64 {
 	fl, _, _, _ := stackFlops(s.Layers, c, h, w)
 	return fl

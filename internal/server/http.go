@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 
+	"vmq/internal/detect"
 	"vmq/internal/rlog"
 	"vmq/internal/vql"
 )
@@ -45,7 +46,8 @@ import (
 // Errors are a uniform JSON envelope {"error":{"code":"…","message":"…"}}
 // with stable codes (feed_busy, feed_draining, feed_not_found,
 // query_not_found, feed_exists, buffer_too_large, invalid_query,
-// unknown_policy, bad_request, not_push_feed, server_closed, internal).
+// unknown_policy, unknown_detector, bad_request, not_push_feed,
+// server_closed, internal).
 // Unversioned paths are not served.
 //
 // POST /v1/queries accepts either a raw VQL statement (text/plain) or a
@@ -111,6 +113,8 @@ func errorStatus(err error) (int, string) {
 		return http.StatusConflict, "feed_exists"
 	case errors.Is(err, ErrBufferTooLarge):
 		return http.StatusUnprocessableEntity, "buffer_too_large"
+	case errors.Is(err, detect.ErrUnknownDetector):
+		return http.StatusBadRequest, "unknown_detector"
 	case errors.Is(err, ErrClosed):
 		return http.StatusServiceUnavailable, "server_closed"
 	default:

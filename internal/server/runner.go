@@ -27,15 +27,14 @@ type Options struct {
 	// one query on the IC family). Registrations naming the same backend
 	// instance share one memoised scan of it.
 	Backend filters.Backend
-	// Detector overrides the feed's per-query detector factory.
-	Detector detect.Detector
 	// MaxFrames ends the query after this many frames (0 = until the
 	// feed ends or the query is unregistered).
 	MaxFrames int
 	// SampleSize is the detector sample budget per window for aggregate
 	// queries (default 200).
 	SampleSize int
-	// Seed seeds the window sampler (default 1).
+	// Seed seeds the window sampler and a detector the USING clause
+	// names (default 1).
 	Seed uint64
 	// ResultBuffer overrides the server's default result-log ring
 	// capacity for this query (rounded up to a power of two, at most

@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"vmq/internal/detect"
 	"vmq/internal/query"
 	"vmq/internal/rlog"
 	"vmq/internal/sched"
@@ -423,10 +424,10 @@ func (s *Server) register(q *vql.Query, opt Options, pin *recoveredQuery) (*Regi
 		return nil, fmt.Errorf("server: unknown delivery policy %q", policy)
 	}
 	// Only registrations expressible over the wire are journalled: a
-	// programmatic backend, detector or caller-owned spill cannot be
-	// re-created from a record, so those queries stay session-scoped
-	// exactly as on a server without a manifest.
-	journaled := s.manifest != nil && opt.Backend == nil && opt.Detector == nil &&
+	// programmatic backend or caller-owned spill cannot be re-created
+	// from a record, so those queries stay session-scoped exactly as on
+	// a server without a manifest.
+	journaled := s.manifest != nil && opt.Backend == nil &&
 		opt.SpillPath == "" && opt.SpillConfig == (rlog.SpillConfig{})
 	if pin != nil {
 		journaled = s.manifest != nil
@@ -487,9 +488,17 @@ func (s *Server) register(q *vql.Query, opt Options, pin *recoveredQuery) (*Regi
 	if opt.Tol != nil {
 		tol = *opt.Tol
 	}
-	det := opt.Detector
-	if det == nil {
+	seed := opt.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	// A USING clause builds the query its own detector; without one the
+	// query confirms with the feed's memoised detector.
+	var det detect.Detector
+	if q.Detector == "" {
 		det = f.newDet()
+	} else if det, err = detect.ByName(q.Detector, nil, seed); err != nil {
+		return nil, err
 	}
 	buffer := opt.ResultBuffer
 	if buffer > MaxResultBuffer {
@@ -630,10 +639,6 @@ func (s *Server) register(q *vql.Query, opt Options, pin *recoveredQuery) (*Regi
 		sampleSize := opt.SampleSize
 		if sampleSize <= 0 {
 			sampleSize = 200
-		}
-		seed := opt.Seed
-		if seed == 0 {
-			seed = 1
 		}
 		cfg := query.AggregateConfig{
 			SampleSize:       sampleSize,

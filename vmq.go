@@ -327,22 +327,6 @@ func (s *Session) UseICFilters() {
 // Bind compiles and binds a query against the session's profile.
 func (s *Session) Bind(q *Query) (*Plan, error) { return query.Bind(q, s.Profile) }
 
-// detectorFor honours the query's USING clause: "maskrcnn"/"oracle" select
-// the exact annotator, "yolo" the simulated full-YOLOv2 pass. An empty
-// clause keeps the session default.
-func (s *Session) detectorFor(q *Query) (Detector, error) {
-	switch q.Detector {
-	case "":
-		return s.Detector, nil
-	case "maskrcnn", "oracle":
-		return detect.NewOracle(s.Clock), nil
-	case "yolo", "yolov2":
-		return detect.NewSimYOLO(s.Clock, s.seed), nil
-	default:
-		return nil, fmt.Errorf("vmq: unknown detector %q in USING clause", q.Detector)
-	}
-}
-
 // Source wraps the session's frame stream as a pull-based Source for the
 // pipelined executor and the window builders.
 func (s *Session) Source() Source { return stream.FromStream(s.Stream) }
@@ -363,9 +347,11 @@ func (s *Session) RunQueryOn(q *Query, src Source, n int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	det, err := s.detectorFor(q)
-	if err != nil {
-		return nil, err
+	det := s.Detector
+	if q.Detector != "" {
+		if det, err = detect.ByName(q.Detector, s.Clock, s.seed); err != nil {
+			return nil, err
+		}
 	}
 	eng := &query.Engine{Backend: s.Backend, Detector: det, Tol: s.Tol}
 	return eng.RunStream(plan, src, n), nil
