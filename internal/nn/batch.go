@@ -9,11 +9,15 @@ import (
 // Batched inference
 //
 // ForwardBatch runs B frames through the network with one GEMM per layer
-// instead of B, using the cache-blocked kernels of package tensor
-// and a reusable activation arena so the steady-state hot path performs no
-// per-frame allocations. Activations are kept in the feature-major batch
-// layout (C×N×H×W, see tensor.Im2ColBatchInto) between layers; the public
-// entry points take batch-major NCHW and convert at the boundary.
+// instead of B, using the kernels of package tensor and a reusable
+// activation arena so the steady-state hot path performs no per-frame
+// allocations. Activations are kept in the feature-major batch layout
+// (C×N×H×W, see tensor.SwapBatchChannel) between layers; the public entry
+// points take batch-major NCHW and convert at the boundary. A convolution
+// runs with the activation and the max pool that follow it as one
+// tensor.ConvBatchInto call: its GEMM reads shifted rows of a
+// zero-bordered copy of the input, so no im2col matrix is built, and the
+// pool reads the GEMM's output in place.
 //
 // The batched pass is bit-identical to the per-frame Forward path: every
 // kernel accumulates each output element in ascending-k order regardless
@@ -24,7 +28,8 @@ import (
 // ForwardBatch is inference-only: it records no caches for Backward. The
 // naive per-frame Forward/Backward path remains the training
 // implementation and the correctness reference the batched kernels are
-// property-tested against.
+// property-tested against. It supports stride-1 convolutions only, which
+// is every convolution the networks here use.
 
 // Arena is the reusable scratch allocator behind ForwardBatch. A forward
 // pass grabs buffers in a deterministic sequence, so after the first call
@@ -94,31 +99,41 @@ func (s *Sequential) ForwardBatch(ar *Arena, batch *tensor.Tensor) *tensor.Tenso
 }
 
 // forwardBatchFM runs the layers over a feature-major batch. A ReLU or
-// LeakyReLU directly after a convolution is fused into the conv's bias
-// pass — same values, one fewer sweep over the activations.
+// LeakyReLU directly after a convolution, and a MaxPool after that, are
+// fused into the convolution — same values, fewer sweeps over the
+// activations.
 func forwardBatchFM(ar *Arena, layers []Layer, x *tensor.Tensor) *tensor.Tensor {
 	for i := 0; i < len(layers); i++ {
-		if conv, ok := layers[i].(*Conv2D); ok {
-			var act Layer
-			if i+1 < len(layers) {
-				switch layers[i+1].(type) {
-				case *ReLU, *LeakyReLU:
-					act = layers[i+1]
-					i++
-				}
-			}
-			x = convForwardBatchFM(ar, conv, x, act)
+		conv, ok := layers[i].(*Conv2D)
+		if !ok {
+			x = layerForwardBatchFM(ar, layers[i], x)
 			continue
 		}
-		x = layerForwardBatchFM(ar, layers[i], x)
+		act, slope := tensor.ActNone, float32(0)
+		if i+1 < len(layers) {
+			switch a := layers[i+1].(type) {
+			case *ReLU:
+				act = tensor.ActReLU
+				i++
+			case *LeakyReLU:
+				act, slope = tensor.ActLeakyReLU, a.Slope
+				i++
+			}
+		}
+		pool := 1
+		if i+1 < len(layers) {
+			if mp, ok := layers[i+1].(*MaxPool); ok {
+				pool = mp.K
+				i++
+			}
+		}
+		x = convForwardBatchFM(ar, conv, x, act, slope, pool)
 	}
 	return x
 }
 
 func layerForwardBatchFM(ar *Arena, l Layer, x *tensor.Tensor) *tensor.Tensor {
 	switch l := l.(type) {
-	case *Conv2D:
-		return convForwardBatchFM(ar, l, x, nil)
 	case *ReLU:
 		for i, v := range x.Data {
 			if v <= 0 {
@@ -147,30 +162,14 @@ func layerForwardBatchFM(ar *Arena, l Layer, x *tensor.Tensor) *tensor.Tensor {
 	}
 }
 
-// convForwardBatchFM lowers the batched convolution to one im2col and one
-// GEMM: cols is (C·KH·KW)×(N·OH·OW), and the weight GEMM's output
-// (outC × N·OH·OW) is already the next layer's feature-major input. A
-// non-nil act (ReLU or LeakyReLU) is applied in the same pass as the bias.
-func convForwardBatchFM(ar *Arena, l *Conv2D, x *tensor.Tensor, act Layer) *tensor.Tensor {
-	c, n, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh, ow := l.P.OutSize(h, w)
-	outC := l.W.Value.Shape[0]
-	ckk := l.W.Value.Len() / outC
-	if c != l.W.Value.Shape[1] {
-		panic(fmt.Sprintf("nn: ForwardBatch conv channels %d vs weights %v", c, l.W.Value.Shape))
+// convForwardBatchFM runs a convolution, the activation act and a
+// pool×pool max pool (pool 1: none) over a feature-major batch with
+// tensor.ConvBatchInto, all working memory from the arena.
+func convForwardBatchFM(ar *Arena, l *Conv2D, x *tensor.Tensor, act tensor.Act, slope float32, pool int) *tensor.Tensor {
+	if l.P.Stride != 1 {
+		panic(fmt.Sprintf("nn: ForwardBatch has no batched path for stride-%d convolutions", l.P.Stride))
 	}
-	cols := tensor.Im2ColBatchInto(ar.tensor(ckk, n*oh*ow), x, l.P)
-	kind, slope := tensor.ActNone, float32(0)
-	switch a := act.(type) {
-	case *ReLU:
-		kind = tensor.ActReLU
-	case *LeakyReLU:
-		kind, slope = tensor.ActLeakyReLU, a.Slope
-	}
-	out := tensor.MatMulBiasAct(ar.tensor(outC, n*oh*ow), l.W.Value.Reshape(outC, ckk), cols,
-		l.B.Value.Data, kind, slope, 1)
-	out.Shape = []int{outC, n, oh, ow}
-	return out
+	return tensor.ConvBatchInto(ar.grab, x, l.W.Value, l.B.Value.Data, l.P, act, slope, pool)
 }
 
 // linearForwardBatchFM applies a fully connected layer to a feature-major

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -49,6 +50,40 @@ func BenchmarkForwardBatch(b *testing.B) {
 		net.ForwardBatch(ar, batch)
 	}
 	b.ReportMetric(float64(batchN)*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
+}
+
+// BenchmarkForwardBatchWidth reports the batched forward's cost per frame
+// (ns/frame) as the batch widens from 1 to 32 frames, on the served
+// networks' shape: CountLocNet over the OD backbone with 16 channels and
+// two classes, at 32×32 and 48×48 inputs. One ForwardBatch call runs on
+// one core, so measure it on one processor:
+//
+//	go test -run '^$' -bench ForwardBatchWidth -cpu 1 ./internal/nn
+//
+// The property it watches is a width-flat forward: the GEMM streams a
+// zero-bordered copy of the input instead of an im2col matrix nine times
+// its size, so a wide batch's working set stays in cache and w=32 should
+// cost no more per frame than w=1.
+func BenchmarkForwardBatchWidth(b *testing.B) {
+	for _, img := range []int{32, 48} {
+		rng := rand.New(rand.NewPCG(1, uint64(img)))
+		const d, classes = 16, 2
+		net := NewCountLocNet(rng, ODBackbone(rng, 3, img, d), d, img/4, classes)
+		for _, width := range []int{1, 2, 4, 8, 16, 32} {
+			batch := tensor.New(width, 3, img, img)
+			batch.RandN(rng, 1)
+			b.Run(fmt.Sprintf("img%d/w%d", img, width), func(b *testing.B) {
+				ar := &Arena{}
+				net.ForwardBatch(ar, batch) // warm the arena
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ar.Reset()
+					net.ForwardBatch(ar, batch)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/frame")
+			})
+		}
+	}
 }
 
 // BenchmarkForwardPerFrame is the per-frame baseline over the identical

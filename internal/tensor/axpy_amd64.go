@@ -2,6 +2,8 @@
 
 package tensor
 
+import "unsafe"
+
 // axpy4 computes d_r[j] += v_r * b[j] for r = 0..3 over j = 0..n-1, four
 // lanes at a time with SSE MULPS/ADDPS (baseline on amd64, no AVX/FMA
 // needed). The operations are elementwise multiply-then-add — the exact
@@ -11,13 +13,6 @@ package tensor
 //
 //go:noescape
 func axpy4(d0, d1, d2, d3, b *float32, n int, v0, v1, v2, v3 float32)
-
-// axpy8 is the AVX2 variant of axpy4: eight lanes per VMULPS/VADDPS
-// (VEX-encoded, no FMA — multiply then add, like every other variant),
-// with an in-asm scalar tail for n % 8. Implemented in axpy_amd64.s.
-//
-//go:noescape
-func axpy8(d0, d1, d2, d3, b *float32, n int, v0, v1, v2, v3 float32)
 
 // bias8 adds b to seg[0:n] eight lanes at a time (n must be a multiple of
 // 8; the Go wrapper peels the tail).
@@ -48,7 +43,12 @@ func biasLeaky8(seg *float32, n int, b, slope float32)
 //go:noescape
 func maxPool2x8(dst, r0, r1 *float32, n int)
 
-// maxPool2RowAVX2 is the 8-wide dispatch target for the k=2 pooling row.
+// maxPool2PlaneAVX2 is the 8-wide dispatch target for k=2 pooling.
+func maxPool2PlaneAVX2(dst, src []float32, oh, ow, rowStride int) {
+	poolRows(maxPool2RowAVX2, dst, src, oh, ow, rowStride)
+}
+
+// maxPool2RowAVX2 pools one row, 8 outputs per assembly block.
 func maxPool2RowAVX2(dst, r0, r1 []float32) {
 	n8 := len(dst) &^ 7
 	if n8 > 0 {
@@ -58,13 +58,6 @@ func maxPool2RowAVX2(dst, r0, r1 []float32) {
 		maxPool2RowGeneric(dst[n8:], r0[2*n8:], r1[2*n8:])
 	}
 }
-
-// axpy16 is the AVX-512 variant of axpy8: sixteen lanes per VMULPS/VADDPS
-// on ZMM registers (still multiply then add — no FMA), with an in-asm
-// scalar tail for n % 16. Implemented in axpy_amd64.s.
-//
-//go:noescape
-func axpy16(d0, d1, d2, d3, b *float32, n int, v0, v1, v2, v3 float32)
 
 // bias16 adds b to seg[0:n] sixteen lanes at a time (n must be a multiple
 // of 16; the Go wrapper peels the tail).
@@ -85,12 +78,57 @@ func biasReLU16(seg *float32, n int, b float32)
 //go:noescape
 func biasLeaky16(seg *float32, n int, b, slope float32)
 
-// maxPool2x16 writes n outputs (n a positive multiple of 16) of one 2×2
-// stride-2 pooling row using VPERMT2PS deinterleaves and the reference
-// VMAXPS fold order.
+// maxPool2Plane16 pools one plane, oh output rows of ow outputs, from
+// source rows rowStride floats apart (oh, ow >= 1): 16-output blocks
+// with VPERMT2PS deinterleaves and the reference VMAXPS fold order, and
+// an opmasked block for each row's last ow mod 16 outputs.
 //
 //go:noescape
-func maxPool2x16(dst, r0, r1 *float32, n int)
+func maxPool2Plane16(dst, src *float32, oh, ow, rowStride int)
+
+// gemmTile512 is the AVX-512 register-blocked GEMM tile: four output rows
+// (row r at d + r·ldc) over width columns, 4×64 accumulators held in
+// registers across all ntaps taps, stored once. resume starts from the
+// sums d holds instead of zero. Implemented in axpy_amd64.s.
+//
+//go:noescape
+func gemmTile512(d *float32, ldc int, b *float32, taps *tap, ntaps, width int, resume bool)
+
+// gemmTile256 is the AVX2 form of gemmTile512 with a 4×16 tile.
+//
+//go:noescape
+func gemmTile256(d *float32, ldc int, b *float32, taps *tap, ntaps, width int, resume bool)
+
+// The tile kernels read a tap as {off int64 at byte 0, v [4]float32 at
+// byte 8}, 24 bytes apart; these fail to compile if the layout changes.
+var (
+	_ = [1]struct{}{}[unsafe.Sizeof(tap{})-24]
+	_ = [1]struct{}{}[unsafe.Offsetof(tap{}.v)-8]
+)
+
+// quadPassAVX2 is the avx2 level's GEMM quad pass: the 4×16
+// register-blocked tile. gemm has proved every tap's B segment in range;
+// the rows are checked here.
+func quadPassAVX2(p quadPass) {
+	var buf [gemmKC]tap
+	taps := p.pack(&buf)
+	checkTileRows(p)
+	gemmTile256(&p.d[0], p.ldc, unsafe.SliceData(p.b), unsafe.SliceData(taps), len(taps), p.width, p.k0 > 0)
+}
+
+// quadPassAVX512 is the avx512 level's GEMM quad pass: the 4×64 tile.
+func quadPassAVX512(p quadPass) {
+	var buf [gemmKC]tap
+	taps := p.pack(&buf)
+	checkTileRows(p)
+	gemmTile512(&p.d[0], p.ldc, unsafe.SliceData(p.b), unsafe.SliceData(taps), len(taps), p.width, p.k0 > 0)
+}
+
+func checkTileRows(p quadPass) {
+	if p.width <= 0 || len(p.d) < 3*p.ldc+p.width {
+		panic("tensor: gemm tile rows out of range")
+	}
+}
 
 // fill8 sets dst[0:n] = v eight lanes at a time (n a positive multiple of
 // 8; the Go wrapper peels the tail).
@@ -124,7 +162,7 @@ func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // Implemented in axpy_amd64.s.
 func xgetbv0() (eax, edx uint32)
 
-// axpyQuadSSE is the 4-wide dispatch target used by the GEMM micro-kernel.
+// axpyQuadSSE is the 4-wide axpy behind the sse level's quad pass.
 func axpyQuadSSE(d0, d1, d2, d3, b []float32, v0, v1, v2, v3 float32) {
 	if len(b) == 0 {
 		return
@@ -132,13 +170,8 @@ func axpyQuadSSE(d0, d1, d2, d3, b []float32, v0, v1, v2, v3 float32) {
 	axpy4(&d0[0], &d1[0], &d2[0], &d3[0], &b[0], len(b), v0, v1, v2, v3)
 }
 
-// axpyQuadAVX2 is the 8-wide dispatch target.
-func axpyQuadAVX2(d0, d1, d2, d3, b []float32, v0, v1, v2, v3 float32) {
-	if len(b) == 0 {
-		return
-	}
-	axpy8(&d0[0], &d1[0], &d2[0], &d3[0], &b[0], len(b), v0, v1, v2, v3)
-}
+// quadPassSSE is the sse level's GEMM quad pass: the axpyQuad loop.
+func quadPassSSE(p quadPass) { axpyPass(axpyQuadSSE, p) }
 
 // epilogueRowAVX2 applies the bias+activation epilogue with the 8-wide
 // select kernels. The scalar epilogue's activation branches mispredict
@@ -162,14 +195,6 @@ func epilogueRowAVX2(seg []float32, b float32, act Act, slope float32) {
 	}
 }
 
-// axpyQuadAVX512 is the 16-wide dispatch target.
-func axpyQuadAVX512(d0, d1, d2, d3, b []float32, v0, v1, v2, v3 float32) {
-	if len(b) == 0 {
-		return
-	}
-	axpy16(&d0[0], &d1[0], &d2[0], &d3[0], &b[0], len(b), v0, v1, v2, v3)
-}
-
 // epilogueRowAVX512 applies the bias+activation epilogue with the 16-wide
 // opmask kernels; the tail (< 16 elements) runs the generic loop, which
 // computes the same values bit-for-bit.
@@ -190,21 +215,15 @@ func epilogueRowAVX512(seg []float32, b float32, act Act, slope float32) {
 	}
 }
 
-// maxPool2RowAVX512 is the 16-wide dispatch target for the k=2 pooling row.
-// An 8–15-output remainder takes one 8-wide AVX2 block before the scalar
-// loop: the backbones' 12- and 8-wide second pools are all remainder.
-func maxPool2RowAVX512(dst, r0, r1 []float32) {
-	n := len(dst) &^ 15
-	if n > 0 {
-		maxPool2x16(&dst[0], &r0[0], &r1[0], n)
+// maxPool2PlaneAVX512 is the 16-wide dispatch target for k=2 pooling: one
+// assembly call per plane, its rows and their remainders included.
+func maxPool2PlaneAVX512(dst, src []float32, oh, ow, rowStride int) {
+	if oh == 0 || ow == 0 {
+		return
 	}
-	if len(dst)-n >= 8 {
-		maxPool2x8(&dst[n], &r0[2*n], &r1[2*n], 8)
-		n += 8
-	}
-	if n < len(dst) {
-		maxPool2RowGeneric(dst[n:], r0[2*n:], r1[2*n:])
-	}
+	_ = dst[oh*ow-1]
+	_ = src[(2*oh-1)*rowStride+2*ow-1]
+	maxPool2Plane16(&dst[0], &src[0], oh, ow, rowStride)
 }
 
 // fillRowAVX2 is the 8-wide dispatch target for the rasteriser row fill.
@@ -277,8 +296,8 @@ func hasAVX2() bool {
 // hasAVX512 reports whether the CPU and OS support the AVX-512 subset the
 // 16-wide kernels need: AVX512F + AVX512VL (CPUID.(7,0):EBX bits 16 and
 // 31) with the OS preserving opmask and ZMM state (XCR0 bits 5-7, on top
-// of the XMM/YMM bits). It also requires AVX2, which the 16-wide pooling
-// row uses for its 8-output remainder.
+// of the XMM/YMM bits). hasAVX2 supplies the CPUID leaf 7 and OSXSAVE
+// checks.
 func hasAVX512() bool {
 	if !hasAVX2() { // also confirms CPUID leaf 7 and OSXSAVE
 		return false
@@ -299,27 +318,27 @@ func hasAVX512() bool {
 func archKernels() map[string]kernelImpl {
 	ks := map[string]kernelImpl{
 		"sse": {
-			axpy:     axpyQuadSSE,
+			quad:     quadPassSSE,
 			epilogue: epilogueRowGeneric,
-			pool2:    maxPool2RowGeneric,
+			pool2:    maxPool2PlaneGeneric,
 			fill:     fillRowGeneric,
 			addClamp: addClampRowGeneric,
 		},
 	}
 	if hasAVX2() {
 		ks["avx2"] = kernelImpl{
-			axpy:     axpyQuadAVX2,
+			quad:     quadPassAVX2,
 			epilogue: epilogueRowAVX2,
-			pool2:    maxPool2RowAVX2,
+			pool2:    maxPool2PlaneAVX2,
 			fill:     fillRowAVX2,
 			addClamp: addClampRowAVX2,
 		}
 	}
 	if hasAVX512() {
 		ks["avx512"] = kernelImpl{
-			axpy:     axpyQuadAVX512,
+			quad:     quadPassAVX512,
 			epilogue: epilogueRowAVX512,
-			pool2:    maxPool2RowAVX512,
+			pool2:    maxPool2PlaneAVX512,
 			fill:     fillRowAVX512,
 			addClamp: addClampRowAVX512,
 		}

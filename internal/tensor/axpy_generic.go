@@ -22,12 +22,31 @@ func axpyQuadGeneric(d0, d1, d2, d3, b []float32, v0, v1, v2, v3 float32) {
 	}
 }
 
+// quadPassGeneric is the generic level's GEMM quad pass.
+func quadPassGeneric(p quadPass) { axpyPass(axpyQuadGeneric, p) }
+
+// maxPool2PlaneGeneric pools one plane with 2×2 stride-2 windows: output
+// row y (ow values, dense in dst) folds source rows 2y and 2y+1 of src,
+// rowStride apart.
+func maxPool2PlaneGeneric(dst, src []float32, oh, ow, rowStride int) {
+	poolRows(maxPool2RowGeneric, dst, src, oh, ow, rowStride)
+}
+
+// poolRows runs a plane's k=2 pooling one output row at a time.
+func poolRows(row func(dst, r0, r1 []float32), dst, src []float32, oh, ow, rowStride int) {
+	for oy := 0; oy < oh; oy++ {
+		r0 := src[(2*oy)*rowStride:][: 2*ow : 2*ow]
+		r1 := src[(2*oy+1)*rowStride:][: 2*ow : 2*ow]
+		row(dst[oy*ow:][:ow:ow], r0, r1)
+	}
+}
+
 // maxPool2RowGeneric writes one output row of 2×2 stride-2 max pooling:
 // dst[x] folds r0[2x], r0[2x+1], r1[2x], r1[2x+1] in that order with a
 // strict-greater compare, so ties (signed zeros) and NaN keep the earlier
-// value. The AVX2 variant performs the identical fold with VMAXPS, whose
-// tie/NaN rule (return the second source unless the first is strictly
-// greater) matches exactly.
+// value. The AVX2 and AVX-512 variants perform the identical fold with
+// VMAXPS, whose tie/NaN rule (return the second source unless the first
+// is strictly greater) matches exactly.
 func maxPool2RowGeneric(dst, r0, r1 []float32) {
 	r0 = r0[:2*len(dst)]
 	r1 = r1[:2*len(dst)]

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"runtime"
@@ -128,12 +129,79 @@ func TestBatchedConvMatchesNaivePerFrame(t *testing.T) {
 				}
 			}
 		}
+	}
+}
 
-		// The scratch-buffer single-frame unroll must equal the allocating
-		// reference exactly.
-		dirty := New(c*kk*kk, oh*ow)
-		dirty.Fill(3)
-		requireBitEqual(t, "Im2ColInto", Im2ColInto(dirty, frames[0], p), Im2Col(frames[0], p))
+// ConvBatchInto's shifted-row GEMM must reproduce the im2col lowering it
+// replaces bit for bit — Im2ColBatchInto, MatMulBiasAct with the fused
+// activation, then MaxPool2DBatchInto when pooling — under every kernel
+// level, on ragged channel counts, batch widths, plane sizes, kernels and
+// paddings with
+// signed zeros, denormals, NaN, ±Inf and all-zero weight quads, and with
+// dirty working memory.
+func TestConvBatchIntoMatchesIm2Col(t *testing.T) {
+	rng := rand.New(rand.NewPCG(15, 0))
+	inf := float32(math.Inf(1))
+	dirty := func(n int) []float32 {
+		s := make([]float32, n)
+		for i := range s {
+			s[i] = 7
+		}
+		return s
+	}
+	// c, n, h, w, outC, kernel, pad: random small shapes, then three whose
+	// wide output exceeds convWideFloats, so it is made in frame groups.
+	shapes := make([][7]int, 0, 43)
+	for trial := 0; trial < 40; trial++ {
+		shapes = append(shapes, [7]int{1 + rng.IntN(6), 1 + rng.IntN(5), 1 + rng.IntN(13), 1 + rng.IntN(13),
+			1 + rng.IntN(10), 1 + rng.IntN(3), rng.IntN(3)}) // pad > kernel/2 widens the shared borders
+	}
+	shapes = append(shapes, [7]int{2, 7, 40, 37, 12, 3, 1}, [7]int{3, 5, 48, 48, 8, 3, 1}, [7]int{5, 9, 24, 30, 13, 1, 0})
+	for trial, sh := range shapes {
+		c, n, h, w, outC, kk, pad := sh[0], sh[1], sh[2], sh[3], sh[4], sh[5], sh[6]
+		p := ConvParams{KH: kk, KW: kk, Stride: 1, Padding: pad}
+		oh, ow := p.OutSize(h, w)
+		if oh <= 0 || ow <= 0 {
+			continue
+		}
+		in := New(c, n, h, w)
+		awkwardFloats(rng, in.Data)
+		in.Data[rng.IntN(in.Len())] = float32(math.NaN())
+		in.Data[rng.IntN(in.Len())] = -inf
+		weights := New(outC, c, kk, kk)
+		awkwardFloats(rng, weights.Data)
+		for i := 0; i+4 <= outC; i += 4 { // all-zero quad taps
+			for j := 0; j < c*kk*kk; j++ {
+				if rng.IntN(3) == 0 {
+					for r := i; r < i+4; r++ {
+						weights.Data[r*c*kk*kk+j] = 0
+					}
+				}
+			}
+		}
+		bias := make([]float32, outC)
+		awkwardFloats(rng, bias)
+		act := Act(rng.IntN(3))
+		pool := 1
+		if oh >= 2 && ow >= 2 && (rng.IntN(2) == 0 || trial == len(shapes)-1) {
+			pool = 2
+		}
+
+		withEveryKernel(t, func(t *testing.T, kernel string) {
+			cols := Im2ColBatchInto(nil, in, p)
+			want := MatMulBiasAct(nil, weights.Reshape(outC, c*kk*kk), cols, bias, act, 0.1, 1)
+			want.Shape = []int{outC, n, oh, ow}
+			if pool > 1 {
+				want = MaxPool2DBatchInto(nil, want, pool)
+			}
+			got := ConvBatchInto(dirty, in, weights, bias, p, act, 0.1, pool)
+			if !got.SameShape(want) {
+				t.Fatalf("trial %d: shape %v, want %v", trial, got.Shape, want.Shape)
+			}
+			label := fmt.Sprintf("trial %d (c=%d n=%d %dx%d outC=%d k=%d pad=%d act=%d pool=%d)",
+				trial, c, n, h, w, outC, kk, pad, act, pool)
+			requireBits(t, label, kernel, got.Data, want.Data)
+		})
 	}
 }
 

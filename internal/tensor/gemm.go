@@ -2,29 +2,68 @@ package tensor
 
 import "fmt"
 
-// The blocked GEMM below is the inference hot path: Conv2D lowers to one
-// matrix multiply per layer, and with batching those multiplies are large
-// enough that the naive ikj loop of MatMul thrashes cache. The kernel
-// blocks the output columns so the active segments of dst stay L1-resident
-// while four rows accumulate per pass, and the per-row bias and activation
-// epilogue runs on each column block while it is still cache-hot — the
-// whole conv layer makes a single streaming pass over its output instead
-// of three.
+// The blocked GEMM below is the inference hot path: every batched
+// convolution and fully connected layer is one call of gemm. It
+// blocks the output columns so a block of B stays cache-resident while
+// every four-row quad of the output passes over it, and the per-row bias
+// and activation epilogue runs on each column block while it is still
+// cache-hot.
+//
+// B is addressed through bRows, a per-k row offset: a plain row-major
+// matrix is one layout, and the batched convolution's shifted views of a
+// zero-bordered input (see ConvBatchInto) are another, so convolution
+// needs no im2col matrix.
+//
+// Each pass of a four-row quad (runQuadPass, the active kernel level's)
+// first packs its k steps whose four A values are not all zero (skipping
+// those is exact), then runs over the packed taps: on AVX2 and AVX-512 a
+// register-blocked tile holds its accumulators in registers across the
+// whole tap loop and stores them once; the generic and SSE levels run the
+// axpyQuad loop over dst.
 //
 // Accumulation order is load-bearing: every output element is a sum of
-// terms in ascending-k order with the bias added after the sum, exactly
-// like the naive per-frame path, and that order does not depend on how
-// rows or columns are blocked. Batched and single-frame forwards therefore
-// produce bit-identical per-frame results.
+// terms in ascending-k order, each term multiply-then-add, with the bias
+// added after the sum, exactly like the naive per-frame path, and that
+// order does not depend on how rows or columns are blocked or which level
+// runs. Batched and single-frame forwards therefore produce bit-identical
+// per-frame results.
 //
 // The multiply always runs on the calling goroutine. How many cores one
 // batch evaluation uses is decided once, above this package: the trained
 // filter backends split a batch's frames into one part per core, and
 // nothing below them fans out.
 
-// gemmNC is the column block: 4 dst segments of gemmNC floats plus one
-// b-row segment must stay L1-resident across the k loop.
-const gemmNC = 1024
+// A column block is at most gemmNC columns wide, and narrower when its
+// B segments would exceed gemmBFloats (256 KiB), so that they stay in
+// L2 while every quad passes over them. A convolution's kh·kw taps per
+// channel are shifted views of one row, so only its channels count.
+const (
+	gemmNC      = 2048
+	gemmBFloats = 1 << 16
+)
+
+// gemmKC is the number of k steps packed per pass. A quad with more runs
+// several passes, each resuming from the float32 sums the last one
+// stored, which is exact. It bounds the stack-resident tap buffer.
+const gemmKC = 256
+
+// tap is one packed k step of a row quad: where its B row segment starts
+// and the quad's four A values.
+type tap struct {
+	off int
+	v   [4]float32
+}
+
+// bRows locates the rows of a GEMM's B operand inside one slice. Row
+// kk = (c·kh + ky)·kw + kx starts at c·cs + ky·rs + kx. A row-major k×n
+// matrix is {1, 1, n, 0}; a shifted-row convolution is {KH, KW, channel
+// stride, padded row width}.
+type bRows struct{ kh, kw, cs, rs int }
+
+func (r bRows) off(kk int) int {
+	t := kk % (r.kh * r.kw)
+	return kk/(r.kh*r.kw)*r.cs + t/r.kw*r.rs + t%r.kw
+}
 
 // Act selects the fused activation of MatMulBiasAct's epilogue.
 type Act uint8
@@ -58,7 +97,7 @@ func MatMulBiasAct(dst, a, b *Tensor, bias []float32, act Act, slope float32, wo
 		panic(fmt.Sprintf("tensor: MatMulBiasAct bias length %d, want %d", len(bias), m))
 	}
 	dst = ensureDst(dst, m, n)
-	gemmBlocked(dst.Data, a.Data, b.Data, m, k, n, bias, act, slope)
+	gemm(dst.Data, n, a.Data, m, k, b.Data, bRows{1, 1, n, 0}, n, bias, act, slope)
 	return dst
 }
 
@@ -83,26 +122,53 @@ func ensureDst(dst *Tensor, m, n int) *Tensor {
 	return dst
 }
 
-// gemmBlocked computes dst = act(a×b + bias), overwriting dst.
-func gemmBlocked(dst, a, b []float32, m, k, n int, bias []float32, act Act, slope float32) {
-	for jb := 0; jb < n; jb += gemmNC {
-		jEnd := jb + gemmNC
-		if jEnd > n {
-			jEnd = n
-		}
+// gemm computes act(a×B + bias) for the m×k matrix a, overwriting output
+// row i at dst[i*ldc:][:n]. B row kk is b[rows.off(kk):][:n].
+func gemm(dst []float32, ldc int, a []float32, m, k int, b []float32, rows bRows, n int, bias []float32, act Act, slope float32) {
+	if m == 0 || n == 0 {
+		return
+	}
+	// The tile kernels index b and dst unchecked; prove every access in
+	// range once. Row offsets grow with kk, so the last row reaches
+	// furthest.
+	if len(a) < m*k || len(dst) < (m-1)*ldc+n || ldc < n || (k > 0 && rows.off(k-1)+n > len(b)) {
+		panic(fmt.Sprintf("tensor: gemm operands out of range (m=%d k=%d n=%d ldc=%d, len a=%d b=%d dst=%d)",
+			m, k, n, ldc, len(a), len(b), len(dst)))
+	}
+	nc := gemmNC
+	if distinct := k / (rows.kh * rows.kw); distinct > 0 {
+		nc = min(nc, max(64, gemmBFloats/distinct&^63))
+	}
+	var buf [gemmKC]tap // the remainder rows' taps
+	for jb := 0; jb < n; jb += nc {
+		width := min(nc, n-jb)
 		i := 0
 		for ; i+4 <= m; i += 4 {
-			gemmQuadRows(dst, a, b, i, k, n, jb, jEnd)
+			p := quadPass{d: dst[i*ldc+jb:], ldc: ldc, width: width, a: a[i*k : (i+4)*k], k: k, b: b, rows: rows, jb: jb}
+			// At least one pass, so k = 0 still zeroes the rows.
+			for p.k0 = 0; p.k0 < k || p.k0 == 0; p.k0 += gemmKC {
+				p.k1 = min(p.k0+gemmKC, k)
+				runQuadPass(p)
+			}
 			if bias != nil || act != ActNone {
-				for r := i; r < i+4; r++ {
-					epilogueRow(dst[r*n+jb:r*n+jEnd], biasAt(bias, r), act, slope)
+				for r := 0; r < 4; r++ {
+					epilogueRow(p.d[r*ldc:][:width], biasAt(bias, i+r), act, slope)
 				}
 			}
 		}
 		for ; i < m; i++ {
-			gemmOneRow(dst, a, b, i, k, n, jb, jEnd)
+			d := dst[i*ldc+jb:][:width]
+			clear(d)
+			for k0 := 0; k0 < k; k0 += gemmKC {
+				for _, t := range packTaps(buf[:0], a[i*k:(i+1)*k], k, false, rows, k0, min(k0+gemmKC, k), jb) {
+					av := t.v[0]
+					for j, bv := range b[t.off:][:width] {
+						d[j] += av * bv
+					}
+				}
+			}
 			if bias != nil || act != ActNone {
-				epilogueRow(dst[i*n+jb:i*n+jEnd], biasAt(bias, i), act, slope)
+				epilogueRow(d, biasAt(bias, i), act, slope)
 			}
 		}
 	}
@@ -115,59 +181,88 @@ func biasAt(bias []float32, i int) float32 {
 	return bias[i]
 }
 
-// gemmQuadRows accumulates four output rows over one column block. The b
-// row segment is read once per quad instead of once per row, and the four
-// independent accumulator streams give the scalar inner loop
-// instruction-level parallelism. All row slices are cut to the same width
-// so the compiler can prove the indexing in range and drop bounds checks.
-func gemmQuadRows(dst, a, b []float32, i, k, n, jb, jEnd int) {
-	width := jEnd - jb
-	a0 := a[i*k : (i+1)*k]
-	a1 := a[(i+1)*k : (i+2)*k]
-	a2 := a[(i+2)*k : (i+3)*k]
-	a3 := a[(i+3)*k : (i+4)*k]
-	d0 := dst[i*n+jb:][:width]
-	d1 := dst[(i+1)*n+jb:][:width]
-	d2 := dst[(i+2)*n+jb:][:width]
-	d3 := dst[(i+3)*n+jb:][:width]
-	for j := range d0 {
-		d0[j] = 0
+// packTaps appends to taps the steps kk in [k0, k1) at which the A rows
+// are not all zero — four rows a[r*k:] when quad is set, else one — with
+// their B row offsets shifted by the column block start jb. Unused lanes
+// of v stay zero.
+func packTaps(taps []tap, a []float32, k int, quad bool, rows bRows, k0, k1, jb int) []tap {
+	if k0 >= k1 {
+		return taps
 	}
-	for j := range d1 {
-		d1[j] = 0
+	a0 := a[k0:k1]
+	a1, a2, a3 := a0, a0, a0 // unread unless quad
+	if quad {
+		a1, a2, a3 = a[k+k0:k+k1], a[2*k+k0:2*k+k1], a[3*k+k0:3*k+k1]
 	}
-	for j := range d2 {
-		d2[j] = 0
-	}
-	for j := range d3 {
-		d3[j] = 0
-	}
-	for kk := 0; kk < k; kk++ {
-		v0, v1, v2, v3 := a0[kk], a1[kk], a2[kk], a3[kk]
-		if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-			continue // zero taps contribute nothing; skipping is exact
+	a1, a2, a3 = a1[:len(a0)], a2[:len(a0)], a3[:len(a0)]
+	t := k0 % (rows.kh * rows.kw)
+	ky, kx := t/rows.kw, t%rows.kw
+	off := rows.off(k0) + jb
+	rowStep := rows.rs - rows.kw + 1
+	chanStep := rows.cs - (rows.kh-1)*rows.rs - rows.kw + 1
+	n := len(taps)
+	taps = taps[:cap(taps)]
+	for i, v0 := range a0 {
+		var v1, v2, v3 float32
+		if quad {
+			v1, v2, v3 = a1[i], a2[i], a3[i]
 		}
-		brow := b[kk*n+jb:][:width]
-		axpyQuad(d0, d1, d2, d3, brow, v0, v1, v2, v3)
+		if v0 != 0 || v1 != 0 || v2 != 0 || v3 != 0 { // -0 is zero; NaN is not
+			p := &taps[n]
+			p.off, p.v[0], p.v[1], p.v[2], p.v[3] = off, v0, v1, v2, v3
+			n++
+		}
+		// Step to row kk+1 without dividing.
+		off++
+		if kx++; kx == rows.kw {
+			kx = 0
+			off += rowStep - 1
+			if ky++; ky == rows.kh {
+				ky = 0
+				off += chanStep - rowStep
+			}
+		}
 	}
+	return taps[:n]
 }
 
-// gemmOneRow accumulates one output row over a column block (m%4 tail).
-func gemmOneRow(dst, a, b []float32, i, k, n, jb, jEnd int) {
-	width := jEnd - jb
-	arow := a[i*k : (i+1)*k]
-	drow := dst[i*n+jb:][:width]
-	for j := range drow {
-		drow[j] = 0
+// quadPass is one pass of a four-row quad: it accumulates the products of
+// A steps [k0, k1) into the rows d[r*ldc:][:width], starting from zero
+// when k0 is 0 and otherwise from the sums the last pass stored there.
+// Each kernel level runs it (runQuadPass) with its own stack buffer for
+// the packed taps: a buffer passed through the function value would
+// escape to the heap.
+type quadPass struct {
+	d          []float32
+	ldc, width int
+	a          []float32 // the quad's four A rows, k apart
+	k, k0, k1  int
+	b          []float32
+	rows       bRows
+	jb         int
+}
+
+// pack packs the pass's taps into buf.
+func (p *quadPass) pack(buf *[gemmKC]tap) []tap {
+	return packTaps(buf[:0], p.a, p.k, true, p.rows, p.k0, p.k1, p.jb)
+}
+
+// axpyPass is the quad pass of the levels without a tile: one axpy call
+// per packed tap over dst.
+func axpyPass(axpy func(d0, d1, d2, d3, b []float32, v0, v1, v2, v3 float32), p quadPass) {
+	var buf [gemmKC]tap
+	taps := p.pack(&buf)
+	d0 := p.d[:p.width]
+	d1 := p.d[p.ldc:][:p.width]
+	d2 := p.d[2*p.ldc:][:p.width]
+	d3 := p.d[3*p.ldc:][:p.width]
+	if p.k0 == 0 {
+		clear(d0)
+		clear(d1)
+		clear(d2)
+		clear(d3)
 	}
-	for kk := 0; kk < k; kk++ {
-		av := arow[kk]
-		if av == 0 {
-			continue
-		}
-		brow := b[kk*n+jb:][:width]
-		for j, bv := range brow {
-			drow[j] += av * bv
-		}
+	for _, t := range taps {
+		axpy(d0, d1, d2, d3, p.b[t.off:][:p.width], t.v[0], t.v[1], t.v[2], t.v[3])
 	}
 }

@@ -10,20 +10,24 @@ import (
 
 // Micro-kernel dispatch
 //
-// The blocked GEMM's inner loops — and the rasteriser's row primitives —
-// route through the function pointers below. On amd64 the package selects
-// the widest instruction set the CPU supports at process start (runtime
-// CPUID feature detection, no build flags): "avx512" (16-wide mul+add axpy,
-// opmask epilogues and pooling) when the OS enables ZMM state, else "avx2"
-// (8-wide mul+add axpy and compare+blend epilogues), else "sse" (4-wide
-// axpy, scalar epilogue — the amd64 baseline). Everywhere else the portable
-// "generic" kernels run.
+// The blocked GEMM's inner loops, the pooling planes and the rasteriser's
+// row primitives route through the function pointers below. On amd64 the
+// package selects the widest instruction set the CPU supports at process
+// start (runtime CPUID feature detection, no build flags): "avx512" (a
+// 4×64 register-blocked GEMM tile, opmask epilogues and pooling) when the
+// OS enables ZMM state, else "avx2" (a 4×16 GEMM tile, compare+blend
+// epilogues, 8-wide pooling), else "sse" (4-wide axpy, scalar epilogue —
+// the amd64 baseline). Everywhere else the portable "generic" kernels
+// run.
 //
 // All of those variants perform the exact IEEE operation sequence of the
 // generic loops — elementwise multiply-then-add, select-based activations —
 // so outputs are bit-identical across kernels, which is what lets the
 // batched and coalesced inference paths keep their result-identity
-// guarantees no matter which machine they land on.
+// guarantees no matter which machine they land on. One exception: where
+// two NaNs of different payloads meet in one sum, the assembly levels keep
+// the accumulator's payload and the compiled generic loop may keep the
+// other (see TestGEMMBitIdenticalAcrossKernels).
 //
 // The VMQ_KERNEL environment variable pins a kernel at start
 // (GODEBUG-style, for debugging and for CI to exercise the pure-Go path):
@@ -34,19 +38,21 @@ import (
 // one-line warning on stderr naming the levels this CPU offers. SetKernel
 // does the same selection at runtime for tests and benchmarks.
 var (
-	axpyQuad    = axpyQuadGeneric
+	runQuadPass = quadPassGeneric
 	epilogueRow = epilogueRowGeneric
-	maxPool2Row = maxPool2RowGeneric
+	maxPool2    = maxPool2PlaneGeneric
 	fillRow     = fillRowGeneric
 	addClampRow = addClampRowGeneric
 	kernelName  = "generic"
 )
 
-// kernelImpl bundles one instruction-set level's micro-kernels.
+// kernelImpl bundles one instruction-set level's micro-kernels. quad runs
+// one GEMM quad pass: the axpyQuad loop over dst on generic and sse, a
+// register-blocked tile on avx2 and avx512.
 type kernelImpl struct {
-	axpy     func(d0, d1, d2, d3, b []float32, v0, v1, v2, v3 float32)
+	quad     func(p quadPass)
 	epilogue func(seg []float32, b float32, act Act, slope float32)
-	pool2    func(dst, r0, r1 []float32)
+	pool2    func(dst, src []float32, oh, ow, rowStride int)
 	fill     func(dst []float32, v float32)
 	addClamp func(dst, add []float32)
 }
@@ -55,9 +61,9 @@ type kernelImpl struct {
 // everywhere, plus whatever archKernels detects on this CPU.
 func kernelTable() map[string]kernelImpl {
 	ks := map[string]kernelImpl{"generic": {
-		axpy:     axpyQuadGeneric,
+		quad:     quadPassGeneric,
 		epilogue: epilogueRowGeneric,
-		pool2:    maxPool2RowGeneric,
+		pool2:    maxPool2PlaneGeneric,
 		fill:     fillRowGeneric,
 		addClamp: addClampRowGeneric,
 	}}
@@ -124,9 +130,9 @@ func SetKernel(name string) error {
 	if !ok {
 		return fmt.Errorf("tensor: unknown kernel %q (available: %v)", name, Kernels())
 	}
-	axpyQuad = impl.axpy
+	runQuadPass = impl.quad
 	epilogueRow = impl.epilogue
-	maxPool2Row = impl.pool2
+	maxPool2 = impl.pool2
 	fillRow = impl.fill
 	addClampRow = impl.addClamp
 	kernelName = name

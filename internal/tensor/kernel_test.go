@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"strings"
@@ -58,36 +59,29 @@ func requireBits(t *testing.T, label string, kernel string, got, want []float32)
 	}
 }
 
-// Every compiled axpyQuad variant must produce bit-identical accumulators
-// on ragged lengths covering all lane tails (0..67 spans the 8-wide body,
-// the 4-wide body and every scalar remainder).
+// Every level's GEMM quad pass — the axpyQuad loop on generic and sse,
+// the register-blocked tile on avx2 and avx512 — must add one tap's
+// products to dirty accumulators bit-identically to axpyQuadGeneric on
+// ragged widths covering all lane tails (1..67 spans the 64-, 16-, 8- and
+// 4-wide bodies and every remainder).
 func TestAxpyQuadVariantsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 0))
-	for n := 0; n <= 67; n++ {
+	for n := 1; n <= 67; n++ {
 		b := make([]float32, n)
-		d := make([][]float32, 4)
+		d := make([]float32, 4*n) // four rows, n apart
 		awkwardFloats(rng, b)
-		for r := range d {
-			d[r] = make([]float32, n)
-			awkwardFloats(rng, d[r])
-		}
+		awkwardFloats(rng, d)
 		vs := [4]float32{float32(rng.NormFloat64()), 0, float32(math.Copysign(0, -1)), float32(rng.NormFloat64())}
+		a := []float32{0, vs[0], 0, vs[1], 0, vs[2], 0, vs[3]} // step 1 of four 2-step rows: one tap at B row 1
+		bb := append(make([]float32, n), b...)
 
-		want := make([][]float32, 4)
-		for r := range want {
-			want[r] = append([]float32(nil), d[r]...)
-		}
-		axpyQuadGeneric(want[0], want[1], want[2], want[3], b, vs[0], vs[1], vs[2], vs[3])
+		want := append([]float32(nil), d...)
+		axpyQuadGeneric(want[:n], want[n:2*n], want[2*n:3*n], want[3*n:], b, vs[0], vs[1], vs[2], vs[3])
 
 		withEveryKernel(t, func(t *testing.T, kernel string) {
-			got := make([][]float32, 4)
-			for r := range got {
-				got[r] = append([]float32(nil), d[r]...)
-			}
-			axpyQuad(got[0], got[1], got[2], got[3], b, vs[0], vs[1], vs[2], vs[3])
-			for r := range got {
-				requireBits(t, "axpyQuad", kernel, got[r], want[r])
-			}
+			got := append([]float32(nil), d...)
+			runQuadPass(quadPass{d: got, ldc: n, width: n, a: a, k: 2, k0: 1, k1: 2, b: bb, rows: bRows{1, 1, n, 0}})
+			requireBits(t, "quad pass", kernel, got, want)
 		})
 	}
 }
@@ -118,43 +112,97 @@ func TestEpilogueVariantsBitIdentical(t *testing.T) {
 	}
 }
 
-// Every compiled k=2 pooling row variant must reproduce the scalar fold —
+// Every compiled k=2 pooling variant must reproduce the scalar fold —
 // first tap wins ties (signed zeros) and NaN never displaces an earlier
-// value — on ragged output widths covering every 8-wide tail.
+// value — on every output width up to 67, which covers each remainder
+// length of the 16- and 8-wide blocks, both for a single row and for a
+// multi-row plane read at a row stride wider than the pooled rows.
 func TestMaxPool2RowVariantsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewPCG(44, 0))
 	nan := float32(math.NaN())
 	for n := 0; n <= 67; n++ {
-		r0 := make([]float32, 2*n)
-		r1 := make([]float32, 2*n)
-		awkwardFloats(rng, r0)
-		awkwardFloats(rng, r1)
-		if n > 0 {
-			r0[rng.IntN(2*n)] = nan
-			r1[rng.IntN(2*n)] = nan
+		for _, shape := range [][2]int{{1, 2 * n}, {5, 2*n + 3}} {
+			oh, stride := shape[0], shape[1]
+			src := make([]float32, 2*oh*stride)
+			awkwardFloats(rng, src)
+			for i := 0; i < oh && n > 0; i++ {
+				src[rng.IntN(len(src))] = nan
+			}
+			want := make([]float32, oh*n)
+			maxPool2PlaneGeneric(want, src, oh, n, stride)
+			withEveryKernel(t, func(t *testing.T, kernel string) {
+				got := make([]float32, oh*n+1)
+				got[oh*n] = 7 // the kernel must not write past its plane
+				maxPool2(got[:oh*n], src, oh, n, stride)
+				requireBits(t, fmt.Sprintf("maxPool2 %dx%d stride %d", oh, n, stride), kernel, got, append(want, 7))
+			})
 		}
-		want := make([]float32, n)
-		maxPool2RowGeneric(want, r0, r1)
-		withEveryKernel(t, func(t *testing.T, kernel string) {
-			got := make([]float32, n)
-			maxPool2Row(got, r0, r1)
-			requireBits(t, "maxPool2Row", kernel, got, want)
-		})
 	}
+}
+
+// gemmOperands returns an m×k A and a k×n B of awkward values. A gets
+// all-zero four-row quads at about a third of its k steps, so the packed
+// zero-tap skip runs; with special set, both also get NaNs of several
+// payloads and ±Inf.
+func gemmOperands(rng *rand.Rand, m, k, n int, special bool) (a, b *Tensor) {
+	a, b = New(m, k), New(k, n)
+	awkwardFloats(rng, a.Data)
+	awkwardFloats(rng, b.Data)
+	for i := 0; i+4 <= m; i += 4 {
+		for kk := 0; kk < k; kk++ {
+			if rng.IntN(3) == 0 {
+				for r := i; r < i+4; r++ {
+					a.Data[r*k+kk] = float32(math.Copysign(0, float64(rng.IntN(2)-1)))
+				}
+			}
+		}
+	}
+	if special {
+		specials := []float32{
+			float32(math.Inf(1)), float32(math.Inf(-1)),
+			math.Float32frombits(0x7fc00000), math.Float32frombits(0x7fc01234), math.Float32frombits(0xffc00567),
+		}
+		for _, t := range []*Tensor{a, b} {
+			for i := 0; i < 1+t.Len()/50; i++ {
+				t.Data[rng.IntN(t.Len())] = specials[rng.IntN(len(specials))]
+			}
+		}
+	}
+	return a, b
+}
+
+// gemmShapes covers every column tail of the 64-, 16- and 8-wide tiles
+// (n up to 140 at small k), k beyond one packed pass (gemmKC) and beyond
+// the 288 of CountOnlyNet's 32→16 3×3 conv, several column blocks (at
+// gemmNC, and narrower ones at large k), and m with and without a
+// partial quad.
+func gemmShapes() [][3]int {
+	var shapes [][3]int
+	for n := 1; n <= 140; n++ {
+		shapes = append(shapes, [3]int{5 + n%4, 3 + n%7, n})
+	}
+	return append(shapes, [3]int{8, 300, 300}, [3]int{9, 301, 333}, [3]int{4, 27, 2100}, [3]int{6, 520, 70}, [3]int{1, 1, 1})
 }
 
 // The full blocked GEMM must agree bit-for-bit with the naive reference
 // under every kernel level — the end-to-end guarantee the per-lane tests
 // above underwrite.
+//
+// With NaN and ±Inf in the operands the naive loop's per-element zero
+// skip (0·Inf is NaN) no longer matches the GEMM's per-quad skip, so the
+// levels are held to each other instead. The assembly levels share one
+// operand order (B first in the multiply, the accumulator first in the
+// add), so they agree NaN payloads included, and are held to "sse". The
+// generic loop is Go code: gc fuses the accumulator load into ADDSS as
+// the second source, so where two NaNs of different payloads meet in one
+// sum it keeps the other payload; it is held to the same values and the
+// same NaN positions.
 func TestGEMMBitIdenticalAcrossKernels(t *testing.T) {
 	rng := rand.New(rand.NewPCG(43, 0))
-	for trial := 0; trial < 8; trial++ {
-		m := 1 + rng.IntN(9)
-		k := 1 + rng.IntN(40)
-		n := 1 + rng.IntN(150)
-		a, b := New(m, k), New(k, n)
-		a.RandN(rng, 1)
-		b.RandN(rng, 1)
+	for _, sh := range gemmShapes() {
+		m, k, n := sh[0], sh[1], sh[2]
+		label := fmt.Sprintf("%dx%dx%d", m, k, n)
+		a, b := gemmOperands(rng, m, k, n, false)
 		bias := make([]float32, m)
 		awkwardFloats(rng, bias)
 		want := MatMul(a, b)
@@ -163,10 +211,33 @@ func TestGEMMBitIdenticalAcrossKernels(t *testing.T) {
 			epilogueRowGeneric(epi.Data[i*n:(i+1)*n], bias[i], ActLeakyReLU, 0.1)
 		}
 		withEveryKernel(t, func(t *testing.T, kernel string) {
-			requireBits(t, "MatMulInto", kernel, MatMulInto(nil, a, b).Data, want.Data)
-			requireBits(t, "MatMulBiasAct", kernel,
+			requireBits(t, "MatMulInto "+label, kernel, MatMulInto(nil, a, b).Data, want.Data)
+			requireBits(t, "MatMulBiasAct "+label, kernel,
 				MatMulBiasAct(nil, a, b, bias, ActLeakyReLU, 0.1, 1).Data, epi.Data)
 		})
+
+		a, b = gemmOperands(rng, m, k, n, true)
+		got := map[string][]float32{}
+		withEveryKernel(t, func(t *testing.T, kernel string) {
+			dst := New(m, n)
+			dst.Fill(float32(math.NaN())) // a stale value must not leak through
+			got[kernel] = MatMulBiasAct(dst, a, b, bias, ActLeakyReLU, 0.1, 1).Data
+		})
+		ref := got["sse"]
+		if ref == nil {
+			continue // generic is the only level
+		}
+		for kernel, data := range got {
+			if kernel != "generic" {
+				requireBits(t, "MatMulBiasAct NaN/Inf "+label, kernel, data, ref)
+				continue
+			}
+			for i := range ref {
+				if x, y := data[i], ref[i]; math.Float32bits(x) != math.Float32bits(y) && !(x != x && y != y) {
+					t.Fatalf("MatMulBiasAct NaN/Inf %s: kernel generic diverges at %d: %g vs %g", label, i, x, y)
+				}
+			}
+		}
 	}
 }
 
