@@ -288,11 +288,11 @@ func BenchmarkRunStreamTrainedPerFrame(b *testing.B) {
 	b.ReportMetric(float64(len(frames))*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
 }
 
-// --- Server benchmarks: cross-feed inference coalescing ---
+// --- Server benchmark: a fleet of feeds on one trained network ---
 
 // benchGEMMCounter counts true batch evaluations (one GEMM sequence per
-// call for a trained backend) while forwarding the coalescing identity,
-// so wrapped backends still merge across feeds.
+// call for a trained backend) while forwarding the trained-network
+// identity, so the executor chunks for it as for its inner backend.
 type benchGEMMCounter struct {
 	filters.Coalescable
 	calls *atomic.Int64 // shared across the fleet
@@ -308,32 +308,24 @@ func (c *benchGEMMCounter) Evaluate(f *video.Frame) *filters.Output {
 	return c.EvaluateBatch([]*video.Frame{f}, out[:0])[0]
 }
 
-// benchCoalesceFleet is the many-sparse-feeds workload of the cross-feed
-// broker benchmarks: benchCoalesceFeeds bounded feeds, each serving the
-// same trained OD architecture (separate instances, identical weights —
-// the fingerprint coalescing matches on) with one standing query. The
-// clips are recordings, so each feed is backlogged: its query's chunks
-// are the frames its subscription already holds, up to 32. Clips are
-// longer than the fan-out buffer so feeds genuinely overlap (broker
-// membership is taken at first submission; a clip that fits one buffer
-// can drain solo before the next feed starts).
-const (
-	benchCoalesceFeeds  = 16
-	benchCoalesceFrames = 192
-)
-
-func benchCoalesceFleet(b *testing.B, cfg server.Config) (framesPerSec, gemmCalls float64) {
-	b.Helper()
+// BenchmarkServerPerFeedScan is the served path at default config over
+// many feeds: benchFleetFeeds bounded feeds, each serving its own instance
+// of the same trained OD architecture with one standing query, on the
+// auto-dispatched kernels. The clips are recordings, so each feed is
+// backlogged: its query's chunks are the frames its subscription already
+// holds, up to 32, and each chunk runs its own GEMM (gemm-calls/frame).
+func BenchmarkServerPerFeedScan(b *testing.B) {
+	const benchFleetFeeds, benchFleetFrames = 16, 192
 	base := video.Jackson()
-	clips := make([][]*video.Frame, benchCoalesceFeeds)
+	clips := make([][]*video.Frame, benchFleetFeeds)
 	for i := range clips {
-		clips[i] = video.NewStream(base, uint64(300+i)).Take(benchCoalesceFrames)
+		clips[i] = video.NewStream(base, uint64(300+i)).Take(benchFleetFrames)
 	}
 	tcfg := filters.TrainedConfig{Img: 32, Channels: 16, Seed: 13}
 	var calls atomic.Int64
 	b.ResetTimer()
 	for it := 0; it < b.N; it++ {
-		srv := server.New(cfg)
+		srv := server.New(server.Config{})
 		for i := range clips {
 			p := base
 			p.Name = base.Name + strconv.Itoa(i)
@@ -345,7 +337,7 @@ func benchCoalesceFleet(b *testing.B, cfg server.Config) (framesPerSec, gemmCall
 				b.Fatal(err)
 			}
 		}
-		regs := make([]*server.Registration, benchCoalesceFeeds)
+		regs := make([]*server.Registration, benchFleetFeeds)
 		for i := range regs {
 			q, err := vql.Parse(`SELECT FRAMES FROM jackson` + strconv.Itoa(i) + ` WHERE COUNT(car) = 1`)
 			if err != nil {
@@ -368,30 +360,9 @@ func benchCoalesceFleet(b *testing.B, cfg server.Config) (framesPerSec, gemmCall
 		wg.Wait()
 		srv.Close()
 	}
-	total := float64(benchCoalesceFeeds * benchCoalesceFrames * b.N)
-	return total / b.Elapsed().Seconds(), float64(calls.Load()) / total
-}
-
-// BenchmarkServerCoalescedScan is the served path at default config: the
-// cross-feed broker merges whatever requests park while a run is in
-// flight, up to 32 frames, on the auto-dispatched (AVX2 where available)
-// kernels. With every feed backlogged most requests are already a full
-// 32-frame chunk, so the broker has little to merge; gemm-calls/frame
-// against the per-feed baseline shows how much it still saves.
-func BenchmarkServerCoalescedScan(b *testing.B) {
-	fps, calls := benchCoalesceFleet(b, server.Config{})
-	b.ReportMetric(fps, "frames/s")
-	b.ReportMetric(calls, "gemm-calls/frame")
-}
-
-// BenchmarkServerPerFeedScan disables only the broker (CoalesceBatch 1):
-// every query chunk runs its own GEMM, still on the auto-dispatched
-// kernels. The delta against BenchmarkServerCoalescedScan isolates what
-// cross-feed coalescing itself buys.
-func BenchmarkServerPerFeedScan(b *testing.B) {
-	fps, calls := benchCoalesceFleet(b, server.Config{CoalesceBatch: 1})
-	b.ReportMetric(fps, "frames/s")
-	b.ReportMetric(calls, "gemm-calls/frame")
+	total := float64(benchFleetFeeds * benchFleetFrames * b.N)
+	b.ReportMetric(total/b.Elapsed().Seconds(), "frames/s")
+	b.ReportMetric(float64(calls.Load())/total, "gemm-calls/frame")
 }
 
 // --- Micro-benchmarks: per-operation costs of the building blocks ---

@@ -10,22 +10,19 @@ import (
 	"vmq/internal/nn"
 )
 
-// Cross-feed coalescing identity
+// Trained-network identity
 //
-// A server hosting many camera feeds often serves them all with the same
-// trained network (one model, N cameras). Each feed still owns its memo
-// and its queries' chunks, but the underlying GEMMs can be merged across
-// feeds — if and only if it is safe to push feed A's frames through feed
-// B's backend instance. Coalescable makes that contract explicit: the key
-// fingerprints everything the evaluation depends on (architecture, trained
-// weights, rasterisation parameters, cost accounting), so equal keys mean
-// interchangeable backends.
+// A trained backend fingerprints everything its evaluation depends on
+// (architecture, trained weights, rasterisation parameters, cost
+// accounting) as its CoalesceKey, so equal keys mean interchangeable
+// backends. The executor's chunk rule reads the key through CoalesceKeyOf:
+// a query whose filter declares one is a trained network, whose GEMMs
+// amortise over a chunk of the frames its source already holds, while any
+// other query streams chunks of one frame.
 
-// Coalescable is implemented by batch backends whose evaluations may be
-// merged with those of other instances sharing the same key. Implementors
+// Coalescable is implemented by trained batch backends. Implementors
 // promise that two backends with equal keys produce bit-identical Outputs
-// for any frame and charge costs to the same clock, so a cross-feed
-// scheduler may evaluate either instance's frames through the other.
+// for any frame and charge costs to the same clock.
 type Coalescable interface {
 	BatchBackend
 	// CoalesceKey returns the backend's non-empty architecture/weights
@@ -34,8 +31,8 @@ type Coalescable interface {
 	CoalesceKey() string
 }
 
-// CoalesceKeyOf returns b's coalescing identity, or "" when b does not
-// declare one (then it must never be coalesced).
+// CoalesceKeyOf returns b's trained-network identity, or "" when b does
+// not declare one.
 func CoalesceKeyOf(b Backend) string {
 	if c, ok := b.(Coalescable); ok {
 		return c.CoalesceKey()

@@ -376,7 +376,7 @@ func (s *fanout) evaluate(b forwarder, frames []*video.Frame, img int, noiseSeed
 	}
 	parts := min(runtime.GOMAXPROCS(0), n)
 	if s.batch == nil || s.batch.Shape[0] < n {
-		// Headroom for fluctuating coalesced batch widths, as in nn.Arena.
+		// Headroom for ragged query chunks, as in nn.Arena.
 		s.batch = tensor.New(n+n/4+1, 3, img, img)
 	}
 	if len(s.parts) < parts {

@@ -32,31 +32,33 @@ import (
 // is every convolution the networks here use.
 
 // Arena is the reusable scratch allocator behind ForwardBatch. A forward
-// pass grabs buffers in a deterministic sequence, so after the first call
-// every buffer is reused and the pass allocates nothing per frame.
+// pass grabs buffers and tensor headers in a deterministic sequence, so
+// after the first call of a batch width every buffer and header is reused
+// and the pass allocates nothing.
 // ForwardBatch only reads the network, so concurrent passes over one
 // network are safe with one Arena each — the trained filter backends run
 // one per core on disjoint parts of a batch. An Arena (and any tensor
 // returned from a ForwardBatch using it) must not be shared between
 // concurrent passes; results are valid until the arena's next Reset.
 type Arena struct {
-	slots [][]float32
-	next  int
+	slots   [][]float32
+	next    int
+	headers []*tensor.Tensor
+	nextHdr int
 }
 
-// Reset rewinds the arena so the next forward pass reuses its buffers.
-// Tensors handed out since the previous Reset become invalid.
-func (a *Arena) Reset() { a.next = 0 }
+// Reset rewinds the arena so the next forward pass reuses its buffers and
+// headers. Tensors handed out since the previous Reset become invalid.
+func (a *Arena) Reset() { a.next, a.nextHdr = 0, 0 }
 
 // grab returns the next scratch buffer, growing it to n elements. The
 // contents are arbitrary; kernels writing into arena tensors must not
 // assume zeroed memory.
 //
-// Regrowth carries headroom: the server's cross-feed coalescing hands the
-// same network batches whose width fluctuates run to run (a lone frame
-// that found the evaluator idle, up to a merged run at the batch cap),
-// and doubling-with-slack lets a ratcheting batch width settle
-// after one reallocation instead of reallocating at each new maximum.
+// Regrowth carries headroom: a served query hands the network ragged
+// chunks of 1–32 frames (the frames its subscription already holds), and
+// doubling-with-slack lets a ratcheting batch width settle after one
+// reallocation instead of reallocating at each new maximum.
 func (a *Arena) grab(n int) []float32 {
 	if a.next == len(a.slots) {
 		a.slots = append(a.slots, make([]float32, n))
@@ -75,13 +77,28 @@ func (a *Arena) grab(n int) []float32 {
 }
 
 // tensor returns an arena-backed tensor of the given shape with undefined
-// contents.
+// contents. The header and its shape slice are the arena's too.
 func (a *Arena) tensor(shape ...int) *tensor.Tensor {
 	n := 1
 	for _, d := range shape {
 		n *= d
 	}
-	return &tensor.Tensor{Shape: shape, Data: a.grab(n)}
+	if a.nextHdr == len(a.headers) {
+		a.headers = append(a.headers, &tensor.Tensor{})
+	}
+	t := a.headers[a.nextHdr]
+	a.nextHdr++
+	t.Shape = append(t.Shape[:0], shape...)
+	t.Data = a.grab(n)
+	return t
+}
+
+// swapped returns an arena tensor shaped like x with its two leading axes
+// exchanged: the dst of tensor.SwapBatchChannel(dst, x).
+func (a *Arena) swapped(x *tensor.Tensor) *tensor.Tensor {
+	t := a.tensor(x.Shape...)
+	t.Shape[0], t.Shape[1] = x.Shape[1], x.Shape[0]
+	return t
 }
 
 // ForwardBatch runs a batch of inputs (leading batch dimension: N×C×H×W)
@@ -93,9 +110,9 @@ func (s *Sequential) ForwardBatch(ar *Arena, batch *tensor.Tensor) *tensor.Tenso
 	if batch.Rank() != 4 {
 		panic(fmt.Sprintf("nn: ForwardBatch needs an NCHW batch, got %v", batch.Shape))
 	}
-	x := tensor.SwapBatchChannel(ar.tensor(batch.Shape...), batch)
+	x := tensor.SwapBatchChannel(ar.swapped(batch), batch)
 	x = forwardBatchFM(ar, s.Layers, x)
-	return tensor.SwapBatchChannel(ar.tensor(x.Shape...), x)
+	return tensor.SwapBatchChannel(ar.swapped(x), x)
 }
 
 // forwardBatchFM runs the layers over a feature-major batch. A ReLU or
@@ -169,7 +186,9 @@ func convForwardBatchFM(ar *Arena, l *Conv2D, x *tensor.Tensor, act tensor.Act, 
 	if l.P.Stride != 1 {
 		panic(fmt.Sprintf("nn: ForwardBatch has no batched path for stride-%d convolutions", l.P.Stride))
 	}
-	return tensor.ConvBatchInto(ar.grab, x, l.W.Value, l.B.Value.Data, l.P, act, slope, pool)
+	oh, ow := l.P.OutSize(x.Shape[2], x.Shape[3])
+	dst := ar.tensor(l.W.Value.Shape[0], x.Shape[1], oh/pool, ow/pool)
+	return tensor.ConvBatchInto(dst, ar.grab, x, l.W.Value, l.B.Value.Data, l.P, act, slope, pool)
 }
 
 // linearForwardBatchFM applies a fully connected layer to a feature-major
@@ -258,7 +277,7 @@ func (n *CountLocNet) ForwardBatch(ar *Arena, batch *tensor.Tensor) (counts, map
 		panic(fmt.Sprintf("nn: ForwardBatch needs an NCHW batch, got %v", batch.Shape))
 	}
 	nb := batch.Shape[0]
-	x := tensor.SwapBatchChannel(ar.tensor(batch.Shape...), batch)
+	x := tensor.SwapBatchChannel(ar.swapped(batch), batch)
 	fm := forwardBatchFM(ar, n.Backbone.Layers, x)
 	if fm.Rank() != 4 || fm.Shape[0] != n.d || fm.Shape[1] != nb || fm.Shape[2] != n.g || fm.Shape[3] != n.g {
 		panic("nn: backbone output shape does not match CountLocNet head")
@@ -270,7 +289,7 @@ func (n *CountLocNet) ForwardBatch(ar *Arena, batch *tensor.Tensor) (counts, map
 			raw.Data[i] = 0
 		}
 	}
-	counts = tensor.SwapBatchChannel(ar.tensor(nb, n.classes), raw)
+	counts = tensor.SwapBatchChannel(ar.swapped(raw), raw)
 
 	// Class activation maps (Eq. 1), accumulated over k in the same order
 	// as the per-frame path.
@@ -303,12 +322,11 @@ func (n *CountLocNet) ForwardBatch(ar *Arena, batch *tensor.Tensor) (counts, map
 // arena's next Reset). Values are clamped at zero like Forward.
 func (n *CountOnlyNet) ForwardBatch(ar *Arena, batch *tensor.Tensor) *tensor.Tensor {
 	out := n.Net.ForwardBatch(ar, batch) // N×1
-	nb := out.Shape[0]
 	for i, v := range out.Data {
 		if v < 0 {
 			out.Data[i] = 0
 		}
 	}
-	out.Shape = []int{nb}
+	out.Shape = out.Shape[:1] // N
 	return out
 }

@@ -153,6 +153,39 @@ func TestForwardBatchAllocs(t *testing.T) {
 	}
 }
 
+// A warmed ForwardBatch allocates nothing at all: the arena reuses its
+// tensor headers and shape slices as well as its buffers, for every
+// network the trained filters serve and the flattening Linear path.
+func TestForwardBatchWarmAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewPCG(35, 0))
+	const img, d, classes = 32, 16, 3
+	od := NewCountLocNet(rng, ODBackbone(rng, 3, img, d), d, img/4, classes)
+	ic := NewCountLocNet(rng, ICBackbone(rng, 3, img, d), d, img/4, classes)
+	cof := NewCountOnlyNet(rng, 3, img)
+	flat := &Sequential{Layers: []Layer{NewConv2D(rng, 3, 4, 3, 1, 1), &ReLU{}, NewLinear(rng, 4*img*img, 5)}}
+	for _, tc := range []struct {
+		name string
+		fwd  func(*Arena, *tensor.Tensor)
+	}{
+		{"od", func(ar *Arena, b *tensor.Tensor) { od.ForwardBatch(ar, b) }},
+		{"ic", func(ar *Arena, b *tensor.Tensor) { ic.ForwardBatch(ar, b) }},
+		{"cof", func(ar *Arena, b *tensor.Tensor) { cof.ForwardBatch(ar, b) }},
+		{"flatten", func(ar *Arena, b *tensor.Tensor) { flat.ForwardBatch(ar, b) }},
+	} {
+		for _, n := range []int{1, 7, 32} {
+			batch, _ := randomFrames(rng, n, 3, img)
+			ar := &Arena{}
+			tc.fwd(ar, batch) // warm the arena
+			if allocs := testing.AllocsPerRun(5, func() {
+				ar.Reset()
+				tc.fwd(ar, batch)
+			}); allocs != 0 {
+				t.Errorf("%s at width %d: warmed ForwardBatch allocates %v times, want 0", tc.name, n, allocs)
+			}
+		}
+	}
+}
+
 // ForwardFlops must be positive and track the architecture monotonically.
 func TestForwardFlops(t *testing.T) {
 	rng := rand.New(rand.NewPCG(33, 0))

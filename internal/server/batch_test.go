@@ -2,7 +2,6 @@ package server
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -207,9 +206,8 @@ func TestServerScanBatchEquivalenceAndPacedFlush(t *testing.T) {
 	requireStandalone("trained", run(Config{}, filters.NewUntrained(filters.OD, p, tcfg, nil)),
 		filters.NewUntrained(filters.OD, p, tcfg, nil))
 
-	// Paced feed: frames arrive ~1ms apart, so chunks stay narrow (the
-	// paced broker test pins their width); the events still match a
-	// standalone run.
+	// Paced feed: frames arrive ~1ms apart, so chunks stay narrow; the
+	// events still match a standalone run.
 	srv := New(Config{})
 	if err := srv.AddFeed(FeedConfig{
 		Name: p.Name, Profile: p,
@@ -243,34 +241,20 @@ func TestServerScanBatchEquivalenceAndPacedFlush(t *testing.T) {
 	}
 }
 
-// gatedBackend is a trained filter backend whose batch evaluations park
-// until the test lets them through. entered reports each evaluation's
-// width as it starts; one token on release (or closing it) lets one
-// evaluation (or all of them) finish; frames counts finished evaluations'
-// frames. It stays coalescable, so the broker wraps it like its inner
-// backend.
-type gatedBackend struct {
+// widthsBackend is a trained filter backend that reports each batch
+// evaluation's width on widths as it starts. It stays coalescable, so the
+// executor chunks for it as for its inner trained network.
+type widthsBackend struct {
 	filters.Coalescable
-	entered chan int
-	release chan struct{}
-	frames  atomic.Int64
+	widths chan int // sized past any test's evaluation count: never blocks
 }
 
-func newGatedBackend(inner filters.Coalescable) *gatedBackend {
-	// entered is sized past any test's evaluation count so the backend
-	// never blocks on a test that has stopped reading it.
-	return &gatedBackend{Coalescable: inner, entered: make(chan int, 64), release: make(chan struct{})}
+func (w *widthsBackend) EvaluateBatch(frames []*video.Frame, dst []*filters.Output) []*filters.Output {
+	w.widths <- len(frames)
+	return w.Coalescable.EvaluateBatch(frames, dst)
 }
 
-func (g *gatedBackend) EvaluateBatch(frames []*video.Frame, dst []*filters.Output) []*filters.Output {
-	g.entered <- len(frames)
-	<-g.release
-	dst = g.Coalescable.EvaluateBatch(frames, dst)
-	g.frames.Add(int64(len(frames)))
-	return dst
-}
-
-func (g *gatedBackend) Evaluate(f *video.Frame) *filters.Output {
+func (w *widthsBackend) Evaluate(f *video.Frame) *filters.Output {
 	var out [1]*filters.Output
-	return g.EvaluateBatch([]*video.Frame{f}, out[:0])[0]
+	return w.EvaluateBatch([]*video.Frame{f}, out[:0])[0]
 }

@@ -8,7 +8,6 @@ import (
 
 	"vmq/internal/detect"
 	"vmq/internal/filters"
-	"vmq/internal/sched"
 	"vmq/internal/stream"
 	"vmq/internal/video"
 )
@@ -31,8 +30,7 @@ const (
 	// so every query ends with its end event.
 	FeedDraining FeedState = "draining"
 	// FeedClosed is a feed whose pump has finished; its subscriptions are
-	// closed, and it releases its broker memberships once the last query
-	// still evaluating its frames ends.
+	// closed.
 	FeedClosed FeedState = "closed"
 )
 
@@ -98,7 +96,6 @@ type feed struct {
 	newDet  func() detect.Detector
 	deflt   *sharedEntry
 	detMemo *detect.Memo
-	broker  *sched.Broker // nil when cross-feed coalescing is disabled
 
 	// push is the feed's ingest ring when its frames arrive from
 	// publishers (a *stream.PushSource config); nil for decoded feeds.
@@ -162,8 +159,7 @@ func (f *feed) stalledNow(window time.Duration) (int64, bool) {
 // flight — ingest-ring frames, fan-out buffers, query chunks — flow to
 // the registered queries, which then end through the ordinary source-EOF
 // path: the fan-out closes every subscription, each runner emits its end
-// event carrying reason, and the last one to finish releases the feed's
-// broker memberships. Reports whether this call initiated the drain
+// event carrying reason. Reports whether this call initiated the drain
 // (false when the feed was already draining or closed). Safe to call
 // before the pump starts: the later start finds the source already cut
 // and closes out immediately.
@@ -194,56 +190,25 @@ func (f *feed) drain(reason string) bool {
 }
 
 // sharedEntry is one memoised backend on this feed, reference-counted by
-// the registrations using it (and, for the feed's default entry, by the
-// pump until the fan-out finishes). When the count reaches zero the
-// entry releases its broker membership, so a coalesce group is retired
-// only after every query evaluation on the feed's frames has landed, and
-// long-running servers with query churn do not accumulate groups, members
-// and retained weight tensors. An override entry (Options.Backend) is
-// then dropped as well; the default entry stays for the feed's lifetime.
+// the registrations using it. When the count of an override entry
+// (Options.Backend) reaches zero it is dropped, so long-running servers
+// with query churn do not accumulate memos and retained weight tensors;
+// the default entry stays for the feed's lifetime.
 type sharedEntry struct {
-	key   filters.Backend // the backend the entry memoises, its key in feed.shared
-	sh    *filters.Shared
-	refs  int
-	leave sched.Member // non-nil when the wrapped backend holds a broker membership
+	key  filters.Backend // the backend the entry memoises, its key in feed.shared
+	sh   *filters.Shared
+	refs int
 }
 
 // newSharedEntry memoises b on this feed, holding one reference for the
 // caller. The caller holds f.mu once the feed is reachable.
 func (f *feed) newSharedEntry(b filters.Backend) *sharedEntry {
-	// Trained backends that fingerprint an architecture identity route
-	// through the cross-feed broker: feeds serving the same model merge
-	// their evaluations into one GEMM, and the memo scatter below the
-	// Shared wrapper is untouched. The shared map stays keyed by the
-	// original backend so queries naming the same instance join the same
-	// memo.
-	wrapped := f.broker.Wrap(b)
-	e := &sharedEntry{key: b, sh: filters.NewShared(wrapped, 0), refs: 1}
-	if m, ok := wrapped.(sched.Member); ok {
-		e.leave = m
-	}
+	e := &sharedEntry{key: b, sh: filters.NewShared(b, 0), refs: 1}
 	f.shared[b] = e
 	return e
 }
 
-// leaveBroker releases every broker membership this feed holds, so a
-// coalesce group whose feeds have all gone is retired. Idempotent
-// (Member.Leave is once-only).
-func (f *feed) leaveBroker() {
-	f.mu.Lock()
-	var leavers []sched.Member
-	for _, e := range f.shared {
-		if e.leave != nil {
-			leavers = append(leavers, e.leave)
-		}
-	}
-	f.mu.Unlock()
-	for _, m := range leavers {
-		m.Leave()
-	}
-}
-
-func newFeed(cfg FeedConfig, fanoutBuffer int, broker *sched.Broker) (*feed, error) {
+func newFeed(cfg FeedConfig, fanoutBuffer int) (*feed, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("server: feed needs a name")
 	}
@@ -275,15 +240,14 @@ func newFeed(cfg FeedConfig, fanoutBuffer int, broker *sched.Broker) (*feed, err
 		name:    cfg.Name,
 		dataset: dataset,
 		profile: cfg.Profile,
-		broker:  broker,
 		shared:  make(map[filters.Backend]*sharedEntry),
 		state:   FeedCreating,
 	}
 	if ps, ok := cfg.Source.(*stream.PushSource); ok {
 		f.push = ps
 	}
-	// The entry's first reference is the pump's, dropped when the fan-out
-	// finishes.
+	// The default entry's first reference is the feed's own, never
+	// released.
 	f.deflt = f.newSharedEntry(backend)
 
 	// drain cuts the source at the gate; frames already teed downstream
@@ -307,28 +271,20 @@ func newFeed(cfg FeedConfig, fanoutBuffer int, broker *sched.Broker) (*feed, err
 	return f, nil
 }
 
-// release drops one reference to e. The last one releases its broker
-// membership and forgets an override entry.
+// release drops one reference to e. The last one forgets an override
+// entry.
 func (f *feed) release(e *sharedEntry) {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	e.refs--
-	var leave sched.Member
-	if e.refs == 0 {
-		leave = e.leave
-		if e != f.deflt {
-			delete(f.shared, e.key)
-		}
-	}
-	f.mu.Unlock()
-	if leave != nil {
-		leave.Leave()
+	if e.refs == 0 && e != f.deflt {
+		delete(f.shared, e.key)
 	}
 }
 
-// close stops the fan-out pump and releases the feed's broker
-// memberships. Unlike drain it does not wait for in-flight frames; it is
-// the hard-stop path (server Close, teardown after a drain has already
-// flushed).
+// close stops the fan-out pump. Unlike drain it does not wait for
+// in-flight frames; it is the hard-stop path (server Close, teardown after
+// a drain has already flushed).
 func (f *feed) close() {
 	if f.push != nil {
 		// Unblock a pump parked in PushSource.Next waiting for publishers
@@ -336,7 +292,6 @@ func (f *feed) close() {
 		// source read.
 		f.push.Close()
 	}
-	f.leaveBroker()
 	f.fanout.Stop()
 }
 
@@ -375,7 +330,6 @@ func (f *feed) start() {
 	f.mu.Unlock()
 	go func() {
 		f.fanout.Run()
-		f.release(f.deflt)
 		f.mu.Lock()
 		f.state = FeedClosed
 		f.mu.Unlock()

@@ -199,12 +199,11 @@ func TestServerRemoveFeedEmitsEndEvents(t *testing.T) {
 	}
 }
 
-// Feed churn under the race detector: feeds created, drained and deleted
-// concurrently with query registration and a live coalescing broker. No
-// end event may be lost whichever way a feed goes away, and after the
-// dust settles the broker's counters have folded into the retired
-// aggregate with no live member left behind.
-func TestServerFeedChurnWithCoalescingBroker(t *testing.T) {
+// Feed churn under the race detector: feeds on clones of one trained
+// network created, drained and deleted concurrently with query
+// registration. No end event may be lost whichever way a feed goes away,
+// and afterwards no feed and no running query is left behind.
+func TestServerFeedChurnOnTrainedClones(t *testing.T) {
 	base := video.Jackson()
 	tcfg := filters.TrainedConfig{Img: 16, Channels: 8, Seed: 33}
 	srv := New(Config{})
@@ -304,19 +303,6 @@ func TestServerFeedChurnWithCoalescingBroker(t *testing.T) {
 		if !q.Done {
 			t.Fatalf("query %s on %s still running after churn", q.ID, q.Feed)
 		}
-	}
-	if len(m.Coalesce) == 0 {
-		t.Fatal("no coalesce group recorded — the broker never saw the churned feeds")
-	}
-	var frames int64
-	for _, g := range m.Coalesce {
-		if g.Live != 0 {
-			t.Fatalf("group %q still has %d live members after churn", g.Key, g.Live)
-		}
-		frames += g.Frames
-	}
-	if frames == 0 {
-		t.Fatal("broker counters did not fold into the retired aggregate")
 	}
 }
 

@@ -33,7 +33,6 @@ import (
 	"vmq/internal/detect"
 	"vmq/internal/query"
 	"vmq/internal/rlog"
-	"vmq/internal/sched"
 	"vmq/internal/stream"
 	"vmq/internal/vql"
 )
@@ -113,14 +112,6 @@ type Config struct {
 	// unlimited). Register returns ErrFeedBusy beyond it — admission
 	// control so one tenant cannot crowd a feed out.
 	MaxQueriesPerFeed int
-	// CoalesceBatch caps a merged evaluation of the cross-feed inference
-	// broker (default 32): submissions from every feed whose backend
-	// shares an architecture/weights identity (filters.Coalescable) that
-	// arrive while the shared evaluator is busy are merged into its next
-	// batch evaluation, so many sparse feeds serving one trained model
-	// issue one large GEMM instead of one tiny GEMM each. 1 disables
-	// coalescing; values <= 0 select the default.
-	CoalesceBatch int
 	// SpillDir is the root directory for server-managed result spills
 	// (Options.Spill): each spilling registration gets
 	// SpillDir/<query-id>, removed when the registration leaves the
@@ -162,9 +153,6 @@ func (c Config) withDefaults() Config {
 	if c.DefaultPolicy == "" {
 		c.DefaultPolicy = rlog.Block
 	}
-	if c.CoalesceBatch <= 0 {
-		c.CoalesceBatch = 32
-	}
 	if c.SpillDir == "" {
 		if c.StateDir != "" {
 			c.SpillDir = filepath.Join(c.StateDir, "spill")
@@ -185,8 +173,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg      Config
 	birth    time.Time
-	broker   *sched.Broker // cross-feed inference coalescing (nil when disabled)
-	manifest *manifest     // durable control-plane journal (nil unless built with Recover)
+	manifest *manifest // durable control-plane journal (nil unless built with Recover)
 	mu       sync.Mutex
 	feeds    map[string]*feed
 	regs     map[string]*Registration
@@ -218,9 +205,6 @@ func New(cfg Config) *Server {
 		regs:     make(map[string]*Registration),
 		liveRegs: make(map[string]int),
 	}
-	if s.cfg.CoalesceBatch > 1 {
-		s.broker = sched.New(sched.Config{Batch: s.cfg.CoalesceBatch})
-	}
 	return s
 }
 
@@ -228,7 +212,7 @@ func New(cfg Config) *Server {
 // immediately; feeds added before Start wait for it. A name freed by
 // RemoveFeed may be reused.
 func (s *Server) AddFeed(cfg FeedConfig) error {
-	f, err := newFeed(cfg, s.cfg.FanoutBuffer, s.broker)
+	f, err := newFeed(cfg, s.cfg.FanoutBuffer)
 	if err != nil {
 		return err
 	}
@@ -275,8 +259,8 @@ func (s *Server) DrainFeed(name string) error {
 // RemoveFeed drains the named feed with the "feed_removed" end reason,
 // waits for every registration on it to finish — each query's end event
 // lands in its result log before the log closes; none are lost — then
-// tears the feed down (broker memberships released, pump stopped) and
-// deletes it from the registry, freeing the name for reuse.
+// stops the feed's pump and deletes it from the registry, freeing the
+// name for reuse.
 //
 // The wait honours the delivery contract: a Block-policy query whose
 // consumer never drains holds its runner (and so RemoveFeed) until the
@@ -811,10 +795,21 @@ type Metrics struct {
 	UptimeSeconds float64        `json:"uptime_seconds"`
 	Feeds         []FeedMetrics  `json:"feeds"`
 	Queries       []QueryMetrics `json:"queries"`
-	// Coalesce reports the cross-feed inference broker's per-architecture
-	// groups (absent when coalescing is disabled or no coalescable
-	// backend is registered).
-	Coalesce []sched.GroupMetrics `json:"coalesce,omitempty"`
+	// Coalesce is unused and always empty; it stays, like
+	// FeedMetrics.ScanBatches, for the benchmark harness that still reads it.
+	Coalesce []CoalesceGroup `json:"coalesce,omitempty"`
+}
+
+// CoalesceGroup is the element type of the always-empty Metrics.Coalesce:
+// the fields the benchmark harness reads, kept until it drops its sched.*
+// rows.
+type CoalesceGroup struct {
+	Key      string
+	Members  int
+	Batches  int64
+	Frames   int64
+	Merged   int64
+	MaxBatch int
 }
 
 // IngestMetrics reports a push-fed feed's ingest ring: how deep the
@@ -947,7 +942,6 @@ func (s *Server) Metrics() Metrics {
 
 	m := Metrics{
 		UptimeSeconds: time.Since(s.birth).Seconds(),
-		Coalesce:      s.broker.Metrics(),
 	}
 	for _, f := range feeds {
 		fm := FeedMetrics{

@@ -15,11 +15,27 @@ func axpyQuadGeneric(d0, d1, d2, d3, b []float32, v0, v1, v2, v3 float32) {
 	d2 = d2[:len(b)]
 	d3 = d3[:len(b)]
 	for j, bv := range b {
-		d0[j] += v0 * bv
-		d1[j] += v1 * bv
-		d2[j] += v2 * bv
-		d3[j] += v3 * bv
+		d0[j] = madd(d0[j], bv, v0)
+		d1[j] = madd(d1[j], bv, v1)
+		d2[j] = madd(d2[j], bv, v2)
+		d3[j] = madd(d3[j], bv, v3)
 	}
+}
+
+// madd returns acc + b*v with the assembly levels' NaN rule: where two
+// NaNs meet, the product keeps b's payload and the sum keeps acc's. x86
+// keeps the first source's payload, and gc picks the operand order of a
+// plain acc + b*v itself (it folds the load of acc into ADDSS as the
+// second source), so a NaN b or acc is instead combined with itself.
+func madd(acc, b, v float32) float32 {
+	if b != b {
+		v = b
+	}
+	p := b * v
+	if acc != acc {
+		p = acc
+	}
+	return acc + p
 }
 
 // quadPassGeneric is the generic level's GEMM quad pass.

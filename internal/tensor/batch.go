@@ -24,14 +24,14 @@ func SwapBatchChannel(dst, in *Tensor) *Tensor {
 	}
 	d0, d1 := in.Shape[0], in.Shape[1]
 	plane := in.Len() / (d0 * d1)
-	outShape := append([]int{d1, d0}, in.Shape[2:]...)
 	if dst == nil {
-		dst = New(outShape...)
+		dst = New(append([]int{d1, d0}, in.Shape[2:]...)...)
 	} else {
 		if dst.Len() != in.Len() {
 			panic(fmt.Sprintf("tensor: SwapBatchChannel dst length %d, want %d", dst.Len(), in.Len()))
 		}
-		dst.Shape = outShape
+		var buf [4]int
+		dst.setShape(append(append(buf[:0], d1, d0), in.Shape[2:]...)...)
 	}
 	for i := 0; i < d0; i++ {
 		for j := 0; j < d1; j++ {
@@ -126,11 +126,12 @@ const convWideFloats = 1 << 16
 // ConvBatchInto convolves a feature-major batch in (C×N×H×W) with weights
 // (outC×C×KH×KW) at stride 1, computing act(conv + bias) like
 // MatMulBiasAct, and when pool > 1 max-pools that over non-overlapping
-// pool×pool windows like MaxPool2DBatchInto. It returns the feature-major
-// outC×N×(OH/pool)×(OW/pool) result. grab supplies the result's memory
-// and the working buffers: grab(n) must return n floats with any contents
-// that alias neither in nor an earlier grab. Results are bit-identical to
-// Im2ColBatchInto followed by MatMulBiasAct (and MaxPool2DBatchInto).
+// pool×pool windows like MaxPool2DBatchInto. It writes the feature-major
+// outC×N×(OH/pool)×(OW/pool) result into dst, which must have that shape,
+// and returns dst. grab supplies the working buffers: grab(n) must return
+// n floats with any contents that alias neither in, dst nor an earlier
+// grab. Results are bit-identical to Im2ColBatchInto followed by
+// MatMulBiasAct (and MaxPool2DBatchInto).
 //
 // No im2col matrix is built. The input is copied once into a bordered
 // layout (see borderPlanes) in which every frame is a ph×pw plane whose
@@ -143,7 +144,7 @@ const convWideFloats = 1 << 16
 // copied out. Without padding the input is the bordered layout already
 // and is read in place, and a 1×1 convolution without pooling writes its
 // result directly.
-func ConvBatchInto(grab func(n int) []float32, in, weights *Tensor, bias []float32, p ConvParams, act Act, slope float32, pool int) *Tensor {
+func ConvBatchInto(dst *Tensor, grab func(n int) []float32, in, weights *Tensor, bias []float32, p ConvParams, act Act, slope float32, pool int) *Tensor {
 	p.validate()
 	if in.Rank() != 4 || weights.Rank() != 4 || weights.Shape[1] != in.Shape[0] ||
 		weights.Shape[2] != p.KH || weights.Shape[3] != p.KW {
@@ -161,6 +162,10 @@ func ConvBatchInto(grab func(n int) []float32, in, weights *Tensor, bias []float
 	if oh/pool <= 0 || ow/pool <= 0 {
 		panic(fmt.Sprintf("tensor: ConvBatchInto output %dx%d pooled by %d is empty", oh, ow, pool))
 	}
+	poh, pow := oh/pool, ow/pool
+	if dst.Rank() != 4 || dst.Shape[0] != outC || dst.Shape[1] != n || dst.Shape[2] != poh || dst.Shape[3] != pow {
+		panic(fmt.Sprintf("tensor: ConvBatchInto dst %v, want [%d %d %d %d]", dst.Shape, outC, n, poh, pow))
+	}
 	// Valid outputs read p zeros beyond each edge of a frame, so
 	// neighbouring rows and frames can share their borders: each row and
 	// each frame is followed by at least p zeros, and the buffer opens with
@@ -177,8 +182,6 @@ func ConvBatchInto(grab func(n int) []float32, in, weights *Tensor, bias []float
 		src = grab(c * cs)
 		borderPlanes(src, in.Data, c, n, h, w, gy, gx, lead)
 	}
-	poh, pow := oh/pool, ow/pool
-	dst := &Tensor{Shape: []int{outC, n, poh, pow}, Data: grab(outC * n * poh * pow)}
 	k, rows := c*p.KH*p.KW, bRows{p.KH, p.KW, cs, pw}
 	if pool == 1 && oh == ph && ow == pw { // the wide layout is the output
 		gemm(dst.Data, n*plane, weights.Data, outC, k, src, rows, n*plane, bias, act, slope)
@@ -256,7 +259,7 @@ func MaxPool2DBatchInto(dst, in *Tensor, k int) *Tensor {
 		if dst.Len() != c*n*oh*ow {
 			panic(fmt.Sprintf("tensor: MaxPool2DBatchInto dst length %d, want %d", dst.Len(), c*n*oh*ow))
 		}
-		dst.Shape = []int{c, n, oh, ow}
+		dst.setShape(c, n, oh, ow)
 	}
 	maxPoolPlanes(dst.Data, in.Data, c*n, oh, ow, k, w, h*w)
 	return dst
@@ -307,7 +310,7 @@ func GlobalAvgPoolBatchInto(dst, in *Tensor) *Tensor {
 		if dst.Len() != c*n {
 			panic(fmt.Sprintf("tensor: GlobalAvgPoolBatchInto dst length %d, want %d", dst.Len(), c*n))
 		}
-		dst.Shape = []int{c, n}
+		dst.setShape(c, n)
 	}
 	area := float32(h * w)
 	for pl := 0; pl < c*n; pl++ {

@@ -194,7 +194,9 @@ func TestConvBatchIntoMatchesIm2Col(t *testing.T) {
 			if pool > 1 {
 				want = MaxPool2DBatchInto(nil, want, pool)
 			}
-			got := ConvBatchInto(dirty, in, weights, bias, p, act, 0.1, pool)
+			poh, pow := oh/pool, ow/pool
+			dst := &Tensor{Shape: []int{outC, n, poh, pow}, Data: dirty(outC * n * poh * pow)}
+			got := ConvBatchInto(dst, dirty, in, weights, bias, p, act, 0.1, pool)
 			if !got.SameShape(want) {
 				t.Fatalf("trial %d: shape %v, want %v", trial, got.Shape, want.Shape)
 			}

@@ -163,7 +163,7 @@ func gemm(dst []float32, ldc int, a []float32, m, k int, b []float32, rows bRows
 				for _, t := range packTaps(buf[:0], a[i*k:(i+1)*k], k, false, rows, k0, min(k0+gemmKC, k), jb) {
 					av := t.v[0]
 					for j, bv := range b[t.off:][:width] {
-						d[j] += av * bv
+						d[j] = madd(d[j], bv, av)
 					}
 				}
 			}

@@ -22,12 +22,9 @@ import (
 //
 // All of those variants perform the exact IEEE operation sequence of the
 // generic loops — elementwise multiply-then-add, select-based activations —
-// so outputs are bit-identical across kernels, which is what lets the
-// batched and coalesced inference paths keep their result-identity
-// guarantees no matter which machine they land on. One exception: where
-// two NaNs of different payloads meet in one sum, the assembly levels keep
-// the accumulator's payload and the compiled generic loop may keep the
-// other (see TestGEMMBitIdenticalAcrossKernels).
+// so outputs are bit-identical across kernels, NaN payloads included, which
+// is what lets the batched inference path keep its result-identity
+// guarantees no matter which machine it lands on.
 //
 // The VMQ_KERNEL environment variable pins a kernel at start
 // (GODEBUG-style, for debugging and for CI to exercise the pure-Go path):

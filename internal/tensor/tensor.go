@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 )
 
 // Tensor is a dense row-major float32 array with an explicit shape.
@@ -61,6 +62,14 @@ func (t *Tensor) Clone() *Tensor {
 	c := New(t.Shape...)
 	copy(c.Data, t.Data)
 	return c
+}
+
+// setShape gives t the shape dims, allocating a new shape slice only when
+// t does not have that shape already (an arena-built dst does).
+func (t *Tensor) setShape(dims ...int) {
+	if !slices.Equal(t.Shape, dims) {
+		t.Shape = slices.Clone(dims)
+	}
 }
 
 // Reshape returns a view of t with a new shape of equal length.
