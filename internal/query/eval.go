@@ -19,6 +19,12 @@ type Tolerances struct {
 	Location int
 }
 
+// DefaultTolerances is the cascade a query runs when its caller picks
+// none: CCF-1 with CLF-1, a robust general-purpose combination. The
+// server's registrations and vmq.Session both start from it, so a served
+// query and its standalone reference agree.
+var DefaultTolerances = Tolerances{Count: 1, Location: 1}
+
 // String renders the tolerance pair in the paper's naming convention.
 func (t Tolerances) String() string {
 	name := "CCF"

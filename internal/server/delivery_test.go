@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -222,7 +221,7 @@ func TestServerSpillServesFullHistory(t *testing.T) {
 	p := video.Jackson()
 	const n = 200
 	frames := video.NewStream(p, 13).Take(n)
-	srv := New(Config{})
+	srv := New(Config{SpillDir: t.TempDir()})
 	if err := srv.AddFeed(FeedConfig{
 		Name: p.Name, Profile: p,
 		Source:  &stream.SliceSource{Frames: frames},
@@ -234,7 +233,7 @@ func TestServerSpillServesFullHistory(t *testing.T) {
 	reg, err := srv.Register(parse(t, `SELECT FRAMES FROM jackson WHERE COUNT(car) >= 0`), Options{
 		Policy:       rlog.DropOldest,
 		ResultBuffer: 16,
-		SpillPath:    filepath.Join(t.TempDir(), "q.ndjson"),
+		Spill:        true,
 	})
 	if err != nil {
 		t.Fatal(err)

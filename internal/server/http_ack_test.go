@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"vmq/internal/rlog"
+	"vmq/internal/video"
 )
 
 // pollQueryStatus polls GET /v1/queries/{id} until ok accepts the row.
@@ -307,16 +308,19 @@ func TestHTTPHistoryPagingMatchesStream(t *testing.T) {
 // A drop-oldest spilling query stays within its on-disk retention
 // budget: old segments rotate out as the window advances.
 func TestServerSpillBudgetBounded(t *testing.T) {
-	srv, ts := newHTTPServer(t, 400)
-	_ = ts
+	cfg, _ := clipFeed(video.Jackson(), 42, 400)
+	srv := New(Config{SpillDir: t.TempDir(), Spill: rlog.SpillConfig{SegmentBytes: 2048, RetainBytes: 8192}})
+	if err := srv.AddFeed(cfg); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
 	reg, err := srv.Register(parse(t, `SELECT FRAMES FROM jackson WHERE COUNT(car) >= 0`), Options{
-		Policy: rlog.DropOldest, ResultBuffer: 16,
-		SpillPath:   t.TempDir(),
-		SpillConfig: rlog.SpillConfig{SegmentBytes: 2048, RetainBytes: 8192},
+		Policy: rlog.DropOldest, ResultBuffer: 16, Spill: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.Start()
 	<-reg.Done()
 	qm := reg.metricsRow()
 	if qm.SpillBytes <= 0 || qm.SpillBytes > 8192 {

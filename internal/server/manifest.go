@@ -109,7 +109,7 @@ func (sp FeedSpec) feedConfig() (FeedConfig, error) {
 // QueryRecord is the journalled form of one registration: the VQL text
 // plus the options a restart needs to re-create the query under its
 // original id. Only registrations expressible over the wire are
-// journalled (no programmatic Backend/Detector/SpillPath overrides).
+// journalled (no programmatic Backend override).
 type QueryRecord struct {
 	ID    string `json:"id"`
 	Query string `json:"query"`

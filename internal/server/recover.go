@@ -133,10 +133,10 @@ func (s *Server) CreateFeedSpec(spec FeedSpec) error {
 // the result log already resumed over the existing spill segments.
 // register() uses these instead of minting fresh ones.
 type recoveredQuery struct {
-	id         string
-	log        *rlog.Log[Event]
-	spill      *rlog.FileSpill[Event]
-	spillOwned string
+	id       string
+	log      *rlog.Log[Event]
+	spill    *rlog.FileSpill[Event]
+	spillDir string
 }
 
 // recoverQuery rebuilds one journalled registration. Its spill (when it
@@ -152,10 +152,10 @@ func (s *Server) recoverQuery(rec QueryRecord, acked int64) {
 		return
 	}
 	var (
-		spill      *rlog.FileSpill[Event]
-		spillOwned string
-		next       int64
-		finished   bool
+		spill    *rlog.FileSpill[Event]
+		spillDir string
+		next     int64
+		finished bool
 	)
 	if rec.Spill {
 		dir := filepath.Join(s.cfg.SpillDir, rec.ID)
@@ -164,7 +164,7 @@ func (s *Server) recoverQuery(rec QueryRecord, acked int64) {
 		sp, serr := rlog.NewFileSpill[Event](dir, scfg)
 		if serr == nil {
 			spill = sp
-			spillOwned = dir
+			spillDir = dir
 			if last, ok := sp.LastRetained(); ok {
 				next = last + 1
 				if ev, ok := sp.Read(last); ok && ev.Kind == EventEnd {
@@ -179,20 +179,20 @@ func (s *Server) recoverQuery(rec QueryRecord, acked int64) {
 		next = acked + 1
 	}
 	if finished {
-		s.recoverFinished(rec, q, spill, spillOwned, next, acked)
+		s.recoverFinished(rec, q, spill, spillDir, next, acked)
 		return
 	}
 	pin := &recoveredQuery{
-		id:         rec.ID,
-		log:        s.resumedLog(rec, spill, next, acked),
-		spill:      spill,
-		spillOwned: spillOwned,
+		id:       rec.ID,
+		log:      s.resumedLog(rec, spill, next, acked),
+		spill:    spill,
+		spillDir: spillDir,
 	}
 	if _, err := s.register(q, rec.options(s.cfg), pin); err != nil {
 		// The feed is gone or draining. With history, keep it visible as
 		// a finished row; with none, purge the record.
 		if spill != nil {
-			s.recoverFinished(rec, q, spill, spillOwned, next, acked)
+			s.recoverFinished(rec, q, spill, spillDir, next, acked)
 		} else {
 			_ = s.manifest.queryUnregistered(rec.ID)
 		}
@@ -250,16 +250,16 @@ func (rec QueryRecord) options(cfg Config) Options {
 // history and is closed, Done is already signalled, and the row shows
 // up finished in listings — exactly how a retired query looks, minus a
 // live feed behind it.
-func (s *Server) recoverFinished(rec QueryRecord, q *vql.Query, spill *rlog.FileSpill[Event], spillOwned string, next, acked int64) {
+func (s *Server) recoverFinished(rec QueryRecord, q *vql.Query, spill *rlog.FileSpill[Event], spillDir string, next, acked int64) {
 	r := &Registration{
-		id:         rec.ID,
-		feedName:   rec.Feed,
-		qry:        q,
-		log:        s.resumedLog(rec, spill, next, acked),
-		spill:      spill,
-		spillOwned: spillOwned,
-		done:       make(chan struct{}),
-		recovered:  true,
+		id:        rec.ID,
+		feedName:  rec.Feed,
+		qry:       q,
+		log:       s.resumedLog(rec, spill, next, acked),
+		spill:     spill,
+		spillDir:  spillDir,
+		done:      make(chan struct{}),
+		recovered: true,
 	}
 	r.log.Close()
 	r.stats.finished = true

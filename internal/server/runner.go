@@ -53,15 +53,6 @@ type Options struct {
 	// from far behind, extending the resumable window beyond the ring.
 	// The directory is removed when the registration leaves the registry.
 	Spill bool
-	// SpillPath, when non-empty, attaches the spill at this directory
-	// instead of a server-managed one; the caller owns the directory and
-	// its files survive the registration (a later registration may replay
-	// them by spilling to the same path).
-	SpillPath string
-	// SpillConfig tunes the attached spill's segment rotation and
-	// retention budget; the zero value takes Config.Spill (and then the
-	// rlog defaults).
-	SpillConfig rlog.SpillConfig
 }
 
 // EventKind distinguishes the entries of a registration's result stream.
@@ -144,10 +135,10 @@ type Registration struct {
 
 	// log is the registration's result log: the runner appends, any
 	// number of consumers read through cursors (Results, ResultsFrom).
-	log        *rlog.Log[Event]
-	spill      *rlog.FileSpill[Event] // non-nil when a spill is attached
-	spillOwned string                 // server-managed spill dir, removed on closeSpill
-	done       chan struct{}
+	log      *rlog.Log[Event]
+	spill    *rlog.FileSpill[Event] // non-nil when a spill is attached
+	spillDir string                 // server-managed spill dir, removed on closeSpill
+	done     chan struct{}
 
 	// killed marks a simulated process kill (tests): the runner's
 	// unwinding emits are dropped so the log holds exactly what a real
@@ -414,18 +405,15 @@ func (r *Registration) finish() {
 	close(r.done)
 }
 
-// closeSpill releases the registration's spill, if any. Called when the
-// registration is removed from the server's registry. A server-managed
-// spill directory (Options.Spill) is deleted with it; a caller-provided
-// SpillPath survives for the caller to reuse or clean up.
+// closeSpill releases the registration's spill, if any, and deletes its
+// server-managed directory. Called when the registration is removed from
+// the server's registry.
 func (r *Registration) closeSpill() {
 	if r.spill == nil {
 		return
 	}
 	_ = r.spill.Close()
-	if r.spillOwned != "" {
-		_ = os.RemoveAll(r.spillOwned)
-	}
+	_ = os.RemoveAll(r.spillDir)
 }
 
 // closeSpillKeep closes the spill's descriptors but leaves its files in
@@ -483,77 +471,50 @@ func (r *Registration) runMonitor(eng *query.Engine, n int) {
 	r.emitFinal(ev, false)
 }
 
-// runWindows executes a windowed aggregate query continuously: it builds
-// each window incrementally from the subscription (hopping windows tile
-// or skip, sliding windows overlap) and emits one estimate per window
-// until the feed ends or the query is unregistered.
+// runWindows executes a windowed aggregate query continuously: it
+// estimates each window as the subscription completes it (query.EachWindow
+// steps the WINDOW clause) and emits one estimate per window until the
+// feed ends, MaxFrames frames are read or the query is unregistered.
 func (r *Registration) runWindows(backend filters.Backend, det detect.Detector, cfg query.AggregateConfig, maxFrames int) {
 	defer r.sub.Cancel()
-	w := r.qry.Window
 	if maxFrames <= 0 {
 		maxFrames = math.MaxInt
 	}
-	var (
-		buf      []*video.Frame
-		start    int // stream position of buf[0] within the subscription
-		consumed int
-	)
-	next := func() (*video.Frame, bool) {
-		if consumed >= maxFrames {
-			return nil, false
-		}
-		f, ok := r.sub.Next()
-		if ok {
-			consumed++
-			r.stats.mu.Lock()
-			r.stats.frames++
-			r.stats.mu.Unlock()
-		}
-		return f, ok
-	}
-	for {
-		for len(buf) < w.Size {
-			f, ok := next()
-			if !ok {
-				r.finishWindows()
-				return
-			}
-			buf = append(buf, f)
-		}
-		frames := make([]*video.Frame, w.Size)
-		copy(frames, buf)
-		res, err := query.RunAggregate(r.plan, frames, backend, det, cfg)
-		if err != nil {
-			// Unreachable for a bound aggregate query over a full window;
-			// finish rather than wedge the feed.
-			r.finishWindows()
-			return
-		}
+	// Whatever stops the windows — the source running dry, or an error
+	// that a parsed and bound aggregate query cannot raise — the stream
+	// ends rather than wedging the feed.
+	_ = query.EachWindow(r.plan, &countedSource{r: r, left: maxFrames}, backend, det, cfg, func(start int, res *query.AggregateResult) bool {
 		r.stats.mu.Lock()
 		r.stats.windows++
 		r.stats.virtualExtra += res.VirtualTimePerSample * time.Duration(res.Samples)
 		r.stats.mu.Unlock()
 		r.emit(Event{Kind: EventWindow, WindowStart: start, Window: res}, true)
-		if w.Kind == vql.Sliding && w.Advance < w.Size {
-			buf = buf[:copy(buf, buf[w.Advance:])]
-			start += w.Advance
-		} else {
-			buf = buf[:0]
-			start += w.Size
-			for skip := w.Size; skip < w.Advance; skip++ {
-				if _, ok := next(); !ok {
-					r.finishWindows()
-					return
-				}
-				start++
-			}
-		}
-	}
-}
-
-func (r *Registration) finishWindows() {
+		return true
+	})
 	r.stats.mu.Lock()
 	r.stats.finished = true
 	r.stats.mu.Unlock()
 	r.emitFinal(Event{Kind: EventEnd, Reason: r.feed.endedReason()}, false)
+}
+
+// countedSource is a windowed registration's view of its subscription:
+// it counts every frame read into the query's stats and ends after left
+// frames.
+type countedSource struct {
+	r    *Registration
+	left int
+}
+
+func (c *countedSource) Next() (*video.Frame, bool) {
+	if c.left <= 0 {
+		return nil, false
+	}
+	f, ok := c.r.sub.Next()
+	if ok {
+		c.left--
+		c.r.stats.mu.Lock()
+		c.r.stats.frames++
+		c.r.stats.mu.Unlock()
+	}
+	return f, ok
 }

@@ -90,7 +90,7 @@ const MaxResultBuffer = 1 << 16
 // Config tunes a Server. The zero value is usable.
 type Config struct {
 	// Tol is the default filter tolerance pair for registered queries
-	// (CCF-1/CLF-1 when zero — the robust general-purpose combination).
+	// (query.DefaultTolerances when nil).
 	Tol *query.Tolerances
 	// FanoutBuffer is the per-query frame buffer of each feed tee
 	// (default 64): how far queries on one feed may drift apart before
@@ -117,9 +117,8 @@ type Config struct {
 	// SpillDir/<query-id>, removed when the registration leaves the
 	// registry. Default: "vmq-spill" under the OS temp directory.
 	SpillDir string
-	// Spill is the default segment-rotation and retention-budget tuning
-	// for attached spills; a registration's Options.SpillConfig
-	// overrides it, and the zero value selects the rlog defaults.
+	// Spill is the segment-rotation and retention-budget tuning of every
+	// attached spill; the zero value selects the rlog defaults.
 	Spill rlog.SpillConfig
 	// StateDir, when set, is where Recover keeps the durable control-plane
 	// manifest (and, unless SpillDir overrides it, result spills under
@@ -142,7 +141,8 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Tol == nil {
-		c.Tol = &query.Tolerances{Count: 1, Location: 1}
+		tol := query.DefaultTolerances
+		c.Tol = &tol
 	}
 	if c.FanoutBuffer <= 0 {
 		c.FanoutBuffer = 64
@@ -408,14 +408,10 @@ func (s *Server) register(q *vql.Query, opt Options, pin *recoveredQuery) (*Regi
 		return nil, fmt.Errorf("server: unknown delivery policy %q", policy)
 	}
 	// Only registrations expressible over the wire are journalled: a
-	// programmatic backend or caller-owned spill cannot be re-created
-	// from a record, so those queries stay session-scoped exactly as on
-	// a server without a manifest.
-	journaled := s.manifest != nil && opt.Backend == nil &&
-		opt.SpillPath == "" && opt.SpillConfig == (rlog.SpillConfig{})
-	if pin != nil {
-		journaled = s.manifest != nil
-	}
+	// programmatic backend cannot be re-created from a record, so those
+	// queries stay session-scoped exactly as on a server without a
+	// manifest.
+	journaled := s.manifest != nil && (opt.Backend == nil || pin != nil)
 
 	s.mu.Lock()
 	if s.closed {
@@ -492,36 +488,26 @@ func (s *Server) register(q *vql.Query, opt Options, pin *recoveredQuery) (*Regi
 		buffer = s.cfg.ResultBuffer
 	}
 	var (
-		log        *rlog.Log[Event]
-		spill      *rlog.FileSpill[Event]
-		spillOwned string
+		log      *rlog.Log[Event]
+		spill    *rlog.FileSpill[Event]
+		spillDir string
 	)
 	if pin != nil {
-		log, spill, spillOwned = pin.log, pin.spill, pin.spillOwned
+		log, spill, spillDir = pin.log, pin.spill, pin.spillDir
 	} else {
 		log = rlog.New[Event](buffer, policy)
-		spillCfg := opt.SpillConfig
-		if spillCfg == (rlog.SpillConfig{}) {
-			spillCfg = s.cfg.Spill
-		}
-		if journaled {
-			// Journalled spills are the recovery substrate: durable (each
-			// append flushed, segments fsynced on seal) and write-ahead, so
-			// any event a consumer was promised survives a kill.
-			spillCfg.Durable = true
-		}
-		switch {
-		case opt.SpillPath != "":
-			spill, err = rlog.NewFileSpill[Event](opt.SpillPath, spillCfg)
-		case opt.Spill:
-			dir := filepath.Join(s.cfg.SpillDir, id)
-			spill, err = rlog.NewFileSpill[Event](dir, spillCfg)
-			spillOwned = dir
-		}
-		if err != nil {
-			return nil, err
-		}
-		if spill != nil {
+		if opt.Spill {
+			spillCfg := s.cfg.Spill
+			if journaled {
+				// Journalled spills are the recovery substrate: durable (each
+				// append flushed, segments fsynced on seal) and write-ahead,
+				// so any event a consumer was promised survives a kill.
+				spillCfg.Durable = true
+			}
+			spillDir = filepath.Join(s.cfg.SpillDir, id)
+			if spill, err = rlog.NewFileSpill[Event](spillDir, spillCfg); err != nil {
+				return nil, err
+			}
 			log.SetSpill(spill)
 			if journaled {
 				log.SetWriteThrough()
@@ -533,17 +519,17 @@ func (s *Server) register(q *vql.Query, opt Options, pin *recoveredQuery) (*Regi
 	backend := entry.sh
 
 	r := &Registration{
-		id:         id,
-		feed:       f,
-		feedName:   f.name,
-		qry:        q,
-		plan:       plan,
-		sub:        f.fanout.Subscribe(),
-		log:        log,
-		spill:      spill,
-		spillOwned: spillOwned,
-		done:       make(chan struct{}),
-		recovered:  pin != nil,
+		id:        id,
+		feed:      f,
+		feedName:  f.name,
+		qry:       q,
+		plan:      plan,
+		sub:       f.fanout.Subscribe(),
+		log:       log,
+		spill:     spill,
+		spillDir:  spillDir,
+		done:      make(chan struct{}),
+		recovered: pin != nil,
 	}
 	r.stats.detectCost = det.Cost().PerCall
 	r.stats.windowed = isWindowed

@@ -266,45 +266,69 @@ func TestServerUnregisterOnLiveFeed(t *testing.T) {
 }
 
 // A windowed aggregate query served continuously produces the same
-// sequence of window estimates as the batch RunWindows path over the same
-// frames.
+// sequence of window estimates, at the same window starts, as the batch
+// RunWindows path over the same frames — for tiling, gapped and sliding
+// windows, and for a MaxFrames cut that lands inside a window.
 func TestServerWindowQueryMatchesRunWindows(t *testing.T) {
 	p := video.Jackson()
-	const n = 900 // 4.5 windows of 200
-	cfg, frames := clipFeed(p, 23, n)
-	srv := New(Config{})
-	if err := srv.AddFeed(cfg); err != nil {
-		t.Fatal(err)
+	const n = 900
+	cases := []struct {
+		name      string
+		window    string
+		maxFrames int
+		starts    []int
+	}{
+		{name: "hopping-tile", window: "HOPPING (SIZE 200, ADVANCE BY 200)", starts: []int{0, 200, 400, 600}},
+		{name: "hopping-gap", window: "HOPPING (SIZE 100, ADVANCE BY 150)", starts: []int{0, 150, 300, 450, 600, 750}},
+		{name: "sliding", window: "SLIDING (SIZE 200, ADVANCE BY 50)",
+			starts: []int{0, 50, 100, 150, 200, 250, 300, 350, 400, 450, 500, 550, 600, 650, 700}},
+		{name: "max-frames-mid-window", window: "HOPPING (SIZE 200, ADVANCE BY 200)", maxFrames: 500, starts: []int{0, 200}},
 	}
-	defer srv.Close()
-	src := `SELECT COUNT(FRAMES) FROM jackson WHERE COUNT(car) >= 1 WINDOW HOPPING (SIZE 200, ADVANCE BY 200)`
-	reg, err := srv.Register(parse(t, src), Options{SampleSize: 50, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Start()
-	events, _, sawEnd := drain(reg)
-	if !sawEnd {
-		t.Fatal("window stream closed without an end event")
-	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg, frames := clipFeed(p, 23, n)
+			srv := New(Config{})
+			if err := srv.AddFeed(cfg); err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			src := `SELECT COUNT(FRAMES) FROM jackson WHERE COUNT(car) >= 1 WINDOW ` + c.window
+			reg, err := srv.Register(parse(t, src), Options{SampleSize: 50, Seed: 5, MaxFrames: c.maxFrames})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.Start()
+			events, _, sawEnd := drain(reg)
+			if !sawEnd {
+				t.Fatal("window stream closed without an end event")
+			}
 
-	plan := query.MustBind(parse(t, src), p)
-	want, err := query.RunWindows(plan, &stream.SliceSource{Frames: frames},
-		filters.NewODFilter(p, 23, nil), detect.NewOracle(nil), 4,
-		query.AggregateConfig{SampleSize: 50, Sampler: stream.NewUniformSampler(5), MuFromFullWindow: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != len(want) {
-		t.Fatalf("served %d windows, batch path produced %d", len(events), len(want))
-	}
-	for i, ev := range events {
-		if ev.Kind != EventWindow || ev.WindowStart != i*200 {
-			t.Fatalf("event %d = kind %s start %d", i, ev.Kind, ev.WindowStart)
-		}
-		if !reflect.DeepEqual(ev.Window, want[i]) {
-			t.Fatalf("window %d estimate diverged from RunWindows:\n got %+v\nwant %+v", i, ev.Window, want[i])
-		}
+			clip := frames
+			if c.maxFrames > 0 {
+				clip = frames[:c.maxFrames]
+			}
+			plan := query.MustBind(parse(t, src), p)
+			want, err := query.RunWindows(plan, &stream.SliceSource{Frames: clip},
+				filters.NewODFilter(p, 23, nil), detect.NewOracle(nil), len(c.starts),
+				query.AggregateConfig{SampleSize: 50, Sampler: stream.NewUniformSampler(5), MuFromFullWindow: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(events) != len(want) {
+				t.Fatalf("served %d windows, batch path produced %d", len(events), len(want))
+			}
+			for i, ev := range events {
+				if ev.Kind != EventWindow || ev.WindowStart != c.starts[i] {
+					t.Fatalf("event %d = kind %s start %d, want start %d", i, ev.Kind, ev.WindowStart, c.starts[i])
+				}
+				if !reflect.DeepEqual(ev.Window, want[i]) {
+					t.Fatalf("window %d estimate diverged from RunWindows:\n got %+v\nwant %+v", i, ev.Window, want[i])
+				}
+			}
+			if got := reg.metricsRow().Frames; c.maxFrames > 0 && got != c.maxFrames {
+				t.Fatalf("query read %d frames, MaxFrames is %d", got, c.maxFrames)
+			}
+		})
 	}
 }
 

@@ -1,21 +1,21 @@
-// Package stream provides the streaming plumbing of Section III: hopping
-// and sliding windows over frame sequences (the paper's WINDOW HOPPING
-// clause) and the frame samplers that back the Monte Carlo aggregate
-// estimators — uniform random sampling without replacement, systematic
-// sampling, and reservoir sampling for unbounded streams.
+// Package stream provides the streaming plumbing of Section III: pull-based
+// frame sources, the tee that shares one feed among its queries, and the
+// frame samplers that back the Monte Carlo aggregate estimators — uniform
+// random sampling without replacement, systematic sampling, and reservoir
+// sampling for unbounded streams. The WINDOW clause is stepped by
+// query.EachWindow.
 package stream
 
 import (
 	"errors"
-	"fmt"
 	"math/rand/v2"
 
 	"vmq/internal/video"
 )
 
 // ErrExhausted reports that a pull-based source ran out of frames before
-// the caller got everything it asked for. Window builders wrap it with
-// positional detail; callers test with errors.Is.
+// the caller got everything it asked for. The window builder in package
+// query wraps it with positional detail; callers test with errors.Is.
 var ErrExhausted = errors.New("stream: source exhausted")
 
 // Source yields frames one at a time. Next returns the next frame and
@@ -46,88 +46,6 @@ func Take(src Source, n int) []*video.Frame {
 		out = append(out, f)
 	}
 	return out
-}
-
-// Window is a contiguous batch of frames.
-type Window struct {
-	Start  int // index of the first frame in the stream
-	Frames []*video.Frame
-}
-
-// HoppingWindows partitions the next n·size frames of src into n windows
-// of the given size advancing by advance frames (the paper's
-// WINDOW HOPPING (SIZE s, ADVANCE BY a)). When advance == size the windows
-// tile the stream (a batch window). advance > size skips frames; advance
-// < size is rejected because a pull-based source cannot rewind. If src
-// runs out before n full windows are built, the complete windows are
-// returned alongside an error wrapping ErrExhausted. The gap after the
-// final window is consumed too (so repeated calls on a shared source stay
-// on the ADVANCE grid), but running dry inside that trailing gap is not
-// an error — every requested window is already complete.
-func HoppingWindows(src Source, size, advance, n int) ([]Window, error) {
-	if size <= 0 || advance <= 0 || n <= 0 {
-		return nil, fmt.Errorf("stream: invalid window spec size=%d advance=%d n=%d", size, advance, n)
-	}
-	if advance < size {
-		return nil, fmt.Errorf("stream: overlapping hopping windows (advance %d < size %d) need a buffered source", advance, size)
-	}
-	out := make([]Window, 0, n)
-	pos := 0
-	for w := 0; w < n; w++ {
-		win := Window{Start: pos, Frames: make([]*video.Frame, 0, size)}
-		for i := 0; i < size; i++ {
-			f, ok := src.Next()
-			if !ok {
-				return out, fmt.Errorf("%w: window %d of %d needs %d frames, got %d", ErrExhausted, w+1, n, size, i)
-			}
-			win.Frames = append(win.Frames, f)
-		}
-		pos += size
-		out = append(out, win)
-		for i := size; i < advance; i++ {
-			if _, ok := src.Next(); !ok {
-				if w == n-1 {
-					return out, nil // all windows complete; only the trailing gap ran dry
-				}
-				return out, fmt.Errorf("%w: in the gap before window %d of %d", ErrExhausted, w+2, n)
-			}
-			pos++
-		}
-	}
-	return out, nil
-}
-
-// SlidingWindows materialises n overlapping windows of the given size
-// advancing by advance frames (advance < size allowed), buffering the
-// overlap so the pull-based source is read exactly once. It complements
-// HoppingWindows, which streams non-overlapping batches without buffering.
-// If src runs out early, the complete windows are returned alongside an
-// error wrapping ErrExhausted.
-func SlidingWindows(src Source, size, advance, n int) ([]Window, error) {
-	if size <= 0 || advance <= 0 || n <= 0 {
-		return nil, fmt.Errorf("stream: invalid window spec size=%d advance=%d n=%d", size, advance, n)
-	}
-	if advance >= size {
-		return HoppingWindows(src, size, advance, n)
-	}
-	out := make([]Window, 0, n)
-	buf := make([]*video.Frame, 0, size)
-	pos := 0 // stream index of buf[0]
-	for w := 0; w < n; w++ {
-		for len(buf) < size {
-			f, ok := src.Next()
-			if !ok {
-				return out, fmt.Errorf("%w: window %d of %d needs %d frames, got %d", ErrExhausted, w+1, n, size, len(buf))
-			}
-			buf = append(buf, f)
-		}
-		frames := make([]*video.Frame, size)
-		copy(frames, buf)
-		out = append(out, Window{Start: pos, Frames: frames})
-		buf = buf[:copy(buf, buf[advance:])]
-		pos += advance
-	}
-	return out, nil
 }
 
 // Sampler selects a subset of frame indices from a window of length n.

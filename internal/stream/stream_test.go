@@ -1,98 +1,11 @@
 package stream
 
 import (
-	"errors"
 	"math"
 	"testing"
 
 	"vmq/internal/video"
 )
-
-func TestHoppingWindowsTile(t *testing.T) {
-	src := FromStream(video.NewStream(video.Jackson(), 1))
-	wins, err := HoppingWindows(src, 100, 100, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wins) != 5 {
-		t.Fatalf("got %d windows", len(wins))
-	}
-	for i, w := range wins {
-		if len(w.Frames) != 100 {
-			t.Fatalf("window %d has %d frames", i, len(w.Frames))
-		}
-		if w.Start != i*100 {
-			t.Fatalf("window %d start = %d", i, w.Start)
-		}
-		if w.Frames[0].Index != i*100 {
-			t.Fatalf("window %d first frame index = %d", i, w.Frames[0].Index)
-		}
-	}
-}
-
-func TestHoppingWindowsWithGap(t *testing.T) {
-	src := FromStream(video.NewStream(video.Jackson(), 2))
-	wins, err := HoppingWindows(src, 10, 25, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wins[1].Frames[0].Index != 25 || wins[2].Frames[0].Index != 50 {
-		t.Fatalf("gap handling wrong: %d, %d", wins[1].Frames[0].Index, wins[2].Frames[0].Index)
-	}
-}
-
-func TestHoppingWindowsErrors(t *testing.T) {
-	src := FromStream(video.NewStream(video.Jackson(), 3))
-	if _, err := HoppingWindows(src, 0, 1, 1); err == nil {
-		t.Error("size 0 accepted")
-	}
-	if _, err := HoppingWindows(src, 10, 5, 1); err == nil {
-		t.Error("overlapping windows accepted")
-	}
-	if _, err := HoppingWindows(src, 10, 10, 0); err == nil {
-		t.Error("n=0 accepted")
-	}
-}
-
-func TestSlidingWindowsOverlap(t *testing.T) {
-	src := FromStream(video.NewStream(video.Jackson(), 4))
-	wins, err := SlidingWindows(src, 10, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wins) != 4 {
-		t.Fatalf("got %d windows", len(wins))
-	}
-	for i, w := range wins {
-		if len(w.Frames) != 10 {
-			t.Fatalf("window %d size %d", i, len(w.Frames))
-		}
-		if w.Start != i*3 || w.Frames[0].Index != i*3 {
-			t.Fatalf("window %d starts at %d (frame %d)", i, w.Start, w.Frames[0].Index)
-		}
-	}
-	// Overlapping region is shared: frames 3..9 of window 0 equal frames
-	// 0..6 of window 1.
-	for j := 0; j < 7; j++ {
-		if wins[0].Frames[j+3] != wins[1].Frames[j] {
-			t.Fatalf("overlap frame %d not shared", j)
-		}
-	}
-}
-
-func TestSlidingWindowsDelegatesWhenNonOverlapping(t *testing.T) {
-	src := FromStream(video.NewStream(video.Jackson(), 5))
-	wins, err := SlidingWindows(src, 5, 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wins[2].Start != 10 {
-		t.Fatalf("delegation wrong: start %d", wins[2].Start)
-	}
-	if _, err := SlidingWindows(src, 0, 1, 1); err == nil {
-		t.Error("invalid spec accepted")
-	}
-}
 
 func TestUniformSamplerDistinctAndInRange(t *testing.T) {
 	s := NewUniformSampler(1)
@@ -257,9 +170,8 @@ func TestSliceSource(t *testing.T) {
 	if !ok || f != frames[0] || src.Remaining() != 4 {
 		t.Fatal("Next wrong")
 	}
-	wins, err := HoppingWindows(src, 2, 2, 2)
-	if err != nil || len(wins) != 2 {
-		t.Fatalf("windows over slice source failed: %v", err)
+	if got := Take(src, 4); len(got) != 4 || got[3] != frames[4] {
+		t.Fatalf("Take over slice source = %d frames", len(got))
 	}
 	// Exhausted: every further Next reports EOF, never panics.
 	for i := 0; i < 3; i++ {
@@ -280,61 +192,5 @@ func TestTakeStopsAtExhaustion(t *testing.T) {
 	}
 	if got := Take(FromStream(video.NewStream(video.Jackson(), 10)), 7); len(got) != 7 {
 		t.Fatalf("Take over unbounded source = %d frames", len(got))
-	}
-}
-
-func TestHoppingWindowsExhaustion(t *testing.T) {
-	frames := video.NewStream(video.Jackson(), 11).Take(25)
-	src := &SliceSource{Frames: frames}
-	wins, err := HoppingWindows(src, 10, 10, 4)
-	if !errors.Is(err, ErrExhausted) {
-		t.Fatalf("short source error = %v, want ErrExhausted", err)
-	}
-	if len(wins) != 2 {
-		t.Fatalf("complete windows = %d, want 2", len(wins))
-	}
-	for i, w := range wins {
-		if len(w.Frames) != 10 || w.Start != i*10 {
-			t.Fatalf("window %d malformed: %d frames at %d", i, len(w.Frames), w.Start)
-		}
-	}
-	// A source holding exactly n full windows succeeds: running dry in the
-	// trailing gap is not an error once every window is complete.
-	src2 := &SliceSource{Frames: frames[:20]}
-	wins2, err := HoppingWindows(src2, 5, 15, 2)
-	if err != nil || len(wins2) != 2 {
-		t.Fatalf("exact-fit gapped windows: %v (%d wins)", err, len(wins2))
-	}
-	// On a longer source the trailing gap is consumed, so repeated calls
-	// stay on the ADVANCE grid.
-	src4 := FromStream(video.NewStream(video.Jackson(), 13))
-	if _, err := HoppingWindows(src4, 5, 15, 2); err != nil {
-		t.Fatal(err)
-	}
-	more, err := HoppingWindows(src4, 5, 15, 1)
-	if err != nil || more[0].Frames[0].Index != 30 {
-		t.Fatalf("second call off the hop grid: %v, first index %d", err, more[0].Frames[0].Index)
-	}
-	// Exhaustion inside the gap still reports the typed error.
-	src3 := &SliceSource{Frames: frames[:12]}
-	if _, err := HoppingWindows(src3, 5, 15, 2); !errors.Is(err, ErrExhausted) {
-		t.Fatalf("gap exhaustion error = %v", err)
-	}
-}
-
-func TestSlidingWindowsExhaustion(t *testing.T) {
-	frames := video.NewStream(video.Jackson(), 12).Take(14)
-	src := &SliceSource{Frames: frames}
-	wins, err := SlidingWindows(src, 10, 2, 5)
-	if !errors.Is(err, ErrExhausted) {
-		t.Fatalf("short source error = %v, want ErrExhausted", err)
-	}
-	if len(wins) != 3 {
-		t.Fatalf("complete windows = %d, want 3 (starts 0,2,4)", len(wins))
-	}
-	for i, w := range wins {
-		if w.Start != i*2 || len(w.Frames) != 10 {
-			t.Fatalf("window %d malformed", i)
-		}
 	}
 }

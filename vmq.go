@@ -290,15 +290,16 @@ func ParseDeliveryPolicy(s string) (DeliveryPolicy, bool) { return rlog.ParsePol
 
 // Session bundles a dataset stream with the standard filter/detector
 // stack: an OD filter backend (the paper's best-performing family), the
-// Mask R-CNN-stand-in oracle detector, and a virtual clock.
+// Mask R-CNN-stand-in oracle detector, and a virtual clock. A query whose
+// USING clause names a detector is confirmed by that detector instead.
 type Session struct {
 	Profile  Profile
 	Stream   *video.Stream
 	Backend  Backend
 	Detector Detector
 	Clock    *Clock
-	// Tol selects the filter variants used by RunQuery (default: CCF-1
-	// with CLF-1, a robust general-purpose combination).
+	// Tol selects the filter variants used by RunQuery (default:
+	// query.DefaultTolerances, CCF-1 with CLF-1).
 	Tol Tolerances
 
 	seed uint64
@@ -314,7 +315,7 @@ func NewSession(p Profile, seed uint64) *Session {
 		Backend:  filters.NewODFilter(p, seed, clk),
 		Detector: detect.NewOracle(clk),
 		Clock:    clk,
-		Tol:      Tolerances{Count: 1, Location: 1},
+		Tol:      query.DefaultTolerances,
 		seed:     seed,
 	}
 }
@@ -327,8 +328,22 @@ func (s *Session) UseICFilters() {
 // Bind compiles and binds a query against the session's profile.
 func (s *Session) Bind(q *Query) (*Plan, error) { return query.Bind(q, s.Profile) }
 
+// prepare binds q and resolves the detector that confirms it: the one its
+// USING clause names, or the session's.
+func (s *Session) prepare(q *Query) (*Plan, Detector, error) {
+	plan, err := s.Bind(q)
+	if err != nil {
+		return nil, nil, err
+	}
+	if q.Detector == "" {
+		return plan, s.Detector, nil
+	}
+	det, err := detect.ByName(q.Detector, s.Clock, s.seed)
+	return plan, det, err
+}
+
 // Source wraps the session's frame stream as a pull-based Source for the
-// pipelined executor and the window builders.
+// pipelined executor and the window builder.
 func (s *Session) Source() Source { return stream.FromStream(s.Stream) }
 
 // RunQuery executes a monitoring query over the next n frames of the
@@ -343,15 +358,9 @@ func (s *Session) RunQuery(q *Query, n int) (*Result, error) {
 // an arbitrary source (a recorded clip via SliceSource, a live feed, ...).
 // A short source ends the query gracefully.
 func (s *Session) RunQueryOn(q *Query, src Source, n int) (*Result, error) {
-	plan, err := s.Bind(q)
+	plan, det, err := s.prepare(q)
 	if err != nil {
 		return nil, err
-	}
-	det := s.Detector
-	if q.Detector != "" {
-		if det, err = detect.ByName(q.Detector, s.Clock, s.seed); err != nil {
-			return nil, err
-		}
 	}
 	eng := &query.Engine{Backend: s.Backend, Detector: det, Tol: s.Tol}
 	return eng.RunStream(plan, src, n), nil
@@ -360,11 +369,11 @@ func (s *Session) RunQueryOn(q *Query, src Source, n int) (*Result, error) {
 // RunQueryBrute executes the brute-force baseline (detector on every
 // frame) for comparison.
 func (s *Session) RunQueryBrute(q *Query, n int) (*Result, error) {
-	plan, err := s.Bind(q)
+	plan, det, err := s.prepare(q)
 	if err != nil {
 		return nil, err
 	}
-	eng := &query.Engine{Detector: s.Detector}
+	eng := &query.Engine{Detector: det}
 	return eng.RunStream(plan, s.Source(), n), nil
 }
 
@@ -372,7 +381,7 @@ func (s *Session) RunQueryBrute(q *Query, n int) (*Result, error) {
 // control variates over the next window of frames. The window size is
 // taken from the query's WINDOW clause, or windowSize when absent.
 func (s *Session) RunAggregate(q *Query, windowSize, sampleSize int) (*AggregateResult, error) {
-	plan, err := s.Bind(q)
+	plan, det, err := s.prepare(q)
 	if err != nil {
 		return nil, err
 	}
@@ -383,7 +392,7 @@ func (s *Session) RunAggregate(q *Query, windowSize, sampleSize int) (*Aggregate
 		return nil, fmt.Errorf("vmq: no window size (add a WINDOW clause or pass windowSize)")
 	}
 	frames := s.Stream.Take(windowSize)
-	return query.RunAggregate(plan, frames, s.Backend, s.Detector, query.AggregateConfig{
+	return query.RunAggregate(plan, frames, s.Backend, det, query.AggregateConfig{
 		SampleSize:       sampleSize,
 		Sampler:          stream.NewUniformSampler(s.seed + 101),
 		MuFromFullWindow: true,
@@ -396,11 +405,11 @@ func (s *Session) RunAggregate(q *Query, windowSize, sampleSize int) (*Aggregate
 // one estimate per window. If the query has no WINDOW clause an error is
 // returned.
 func (s *Session) RunWindows(q *Query, n, sampleSize int) ([]*AggregateResult, error) {
-	plan, err := s.Bind(q)
+	plan, det, err := s.prepare(q)
 	if err != nil {
 		return nil, err
 	}
-	return query.RunWindows(plan, s.Source(), s.Backend, s.Detector, n, query.AggregateConfig{
+	return query.RunWindows(plan, s.Source(), s.Backend, det, n, query.AggregateConfig{
 		SampleSize:       sampleSize,
 		Sampler:          stream.NewUniformSampler(s.seed + 101),
 		MuFromFullWindow: true,

@@ -1,10 +1,14 @@
 package vmq_test
 
 import (
+	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"vmq"
+	"vmq/internal/detect"
 )
 
 func TestSessionRunQuery(t *testing.T) {
@@ -162,5 +166,59 @@ func TestServerFacade(t *testing.T) {
 	m := srv.Metrics()
 	if len(m.Feeds) != 1 || len(m.Queries) != 1 {
 		t.Fatalf("metrics = %+v", m)
+	}
+}
+
+// Every Session method honours the query's USING clause: an unknown
+// detector is an error, and a named one confirms in place of the
+// session's default.
+func TestSessionHonoursUsing(t *testing.T) {
+	var sess *vmq.Session
+	runs := []struct {
+		name, query string
+		run         func(q *vmq.Query) (any, error)
+	}{
+		{"RunQuery", `SELECT FRAMES FROM %s WHERE COUNT(car) >= 1`,
+			func(q *vmq.Query) (any, error) { return sess.RunQuery(q, 300) }},
+		{"RunQueryBrute", `SELECT FRAMES FROM %s WHERE COUNT(car) >= 1`,
+			func(q *vmq.Query) (any, error) { return sess.RunQueryBrute(q, 300) }},
+		{"RunAggregate", `SELECT COUNT(FRAMES) FROM %s WHERE COUNT(car) >= 1 WINDOW HOPPING (SIZE 300, ADVANCE BY 300)`,
+			func(q *vmq.Query) (any, error) { return sess.RunAggregate(q, 0, 50) }},
+		{"RunWindows", `SELECT COUNT(FRAMES) FROM %s WHERE COUNT(car) >= 1 WINDOW HOPPING (SIZE 300, ADVANCE BY 300)`,
+			func(q *vmq.Query) (any, error) { return sess.RunWindows(q, 1, 50) }},
+	}
+	parse := func(src, from string) *vmq.Query {
+		q, err := vmq.ParseQuery(fmt.Sprintf(src, from))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	for _, r := range runs {
+		sess = vmq.NewSession(vmq.Jackson(), 3)
+		if _, err := r.run(parse(r.query, "(PROCESS jackson USING nosuch)")); !errors.Is(err, detect.ErrUnknownDetector) {
+			t.Errorf("%s(USING nosuch) error = %v, want ErrUnknownDetector", r.name, err)
+		}
+
+		// USING yolo gives exactly what a session whose default detector
+		// is the seeded YOLO stand-in gives without the clause.
+		sess = vmq.NewSession(vmq.Jackson(), 3)
+		got, err := r.run(parse(r.query, "(PROCESS jackson USING yolo)"))
+		if err != nil {
+			t.Fatalf("%s(USING yolo): %v", r.name, err)
+		}
+		sess = vmq.NewSession(vmq.Jackson(), 3)
+		sess.Detector = detect.NewSimYOLO(sess.Clock, 3)
+		want, err := r.run(parse(r.query, "jackson"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s(USING yolo) differs from a session confirming with YOLO:\n got %+v\nwant %+v", r.name, got, want)
+		}
+		sess = vmq.NewSession(vmq.Jackson(), 3)
+		if oracle, _ := r.run(parse(r.query, "jackson")); reflect.DeepEqual(got, oracle) {
+			t.Errorf("%s: YOLO and the default detector agree, so the check cannot tell them apart", r.name)
+		}
 	}
 }
