@@ -226,7 +226,7 @@ func cmdWindows(args []string, out, errw io.Writer) error {
 	fs := newFlagSet("windows", errw)
 	src := fs.String("q", "", "VQL aggregate query text (must carry a WINDOW clause)")
 	n := fs.Int("n", 5, "number of consecutive windows to estimate")
-	samples := fs.Int("samples", 200, "detector samples per window")
+	samples := fs.Int("samples", 0, "detector samples per window (0 selects the default, 200)")
 	seed := fs.Uint64("seed", 42, "stream seed")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -8,7 +8,6 @@ import (
 	"vmq/internal/filters"
 	"vmq/internal/stream"
 	"vmq/internal/video"
-	"vmq/internal/vql"
 )
 
 // EachWindow estimates the query's windows one at a time as src yields
@@ -28,11 +27,8 @@ import (
 // when src ends first.
 func EachWindow(plan *Plan, src stream.Source, backend filters.Backend, det detect.Detector, cfg AggregateConfig, emit func(start int, res *AggregateResult) bool) error {
 	w := plan.Query.Window
-	if w == nil {
-		return fmt.Errorf("query: windowed execution needs a WINDOW clause")
-	}
-	if w.Size <= 0 || w.Advance <= 0 || w.Kind == vql.Hopping && w.Advance < w.Size {
-		return fmt.Errorf("query: invalid window spec size=%d advance=%d (HOPPING needs advance >= size)", w.Size, w.Advance)
+	if err := checkWindow(w); err != nil {
+		return err
 	}
 	buf := make([]*video.Frame, 0, w.Size)
 	for start := 0; ; start += w.Advance {

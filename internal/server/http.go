@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"vmq/internal/detect"
+	"vmq/internal/query"
 	"vmq/internal/rlog"
 	"vmq/internal/vql"
 )
@@ -115,6 +116,8 @@ func errorStatus(err error) (int, string) {
 		return http.StatusUnprocessableEntity, "buffer_too_large"
 	case errors.Is(err, detect.ErrUnknownDetector):
 		return http.StatusBadRequest, "unknown_detector"
+	case errors.Is(err, query.ErrInvalidQuery):
+		return http.StatusUnprocessableEntity, "invalid_query"
 	case errors.Is(err, ErrClosed):
 		return http.StatusServiceUnavailable, "server_closed"
 	default:
@@ -244,15 +247,10 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	reg, err := s.Register(q, opt)
 	if err != nil {
 		status, code := errorStatus(err)
-		switch code {
-		case "internal":
-			// Register's untyped rejections are semantic query errors
-			// (window clauses, aggregate shapes): the server understood
-			// the request and cannot act on it.
-			status, code = http.StatusUnprocessableEntity, "invalid_query"
-		case "feed_not_found":
-			// A FROM clause naming an absent feed is the same class —
-			// 422 on registration, unlike feed lifecycle lookups.
+		if code == "feed_not_found" {
+			// A FROM clause naming an absent feed is a query the server
+			// cannot run, like ErrInvalidQuery: 422 on registration,
+			// unlike feed lifecycle lookups.
 			status = http.StatusUnprocessableEntity
 		}
 		httpError(w, status, code, "%v", err)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"vmq/internal/rlog"
+	"vmq/internal/vql"
 )
 
 // recoverAt builds a journaling server over dir.
@@ -278,5 +279,48 @@ func TestServerRecoverSweepsOrphanSpills(t *testing.T) {
 	}
 	if _, err := os.Stat(foreign); err != nil {
 		t.Fatalf("non-server directory swept: %v", err)
+	}
+}
+
+// A registration the server refuses appends nothing to the manifest and
+// burns no id: the next accepted query is still q1.
+func TestServerRejectedRegistrationBurnsNoID(t *testing.T) {
+	dir := t.TempDir()
+	srv := recoverAt(t, dir, Config{})
+	defer srv.Close()
+	if err := srv.CreateFeedSpec(FeedSpec{Name: "jackson", Profile: "jackson", Source: "sim", MaxFrames: 10}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, manifestFile)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overlap := parse(t, `SELECT COUNT(FRAMES) FROM jackson WHERE COUNT(car) = 1 WINDOW HOPPING (SIZE 100, ADVANCE BY 100)`)
+	overlap.Window.Advance = 50
+	valid := `SELECT FRAMES FROM jackson WHERE COUNT(car) = 1`
+	for _, r := range []struct {
+		q   *vql.Query
+		opt Options
+	}{
+		{parse(t, `SELECT FRAMES FROM jackson WHERE COUNT(tank) = 1`), Options{}},
+		{parse(t, `SELECT FRAMES FROM (PROCESS jackson USING nosuch) WHERE COUNT(car) = 1`), Options{}},
+		{overlap, Options{}},
+		{parse(t, valid), Options{ResultBuffer: MaxResultBuffer + 1}},
+	} {
+		if _, err := srv.Register(r.q, r.opt); err == nil {
+			t.Errorf("%s %+v accepted", r.q, r.opt)
+		}
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(before, after) {
+		t.Errorf("rejected registrations changed the manifest (err %v):\nbefore %s\nafter  %s", err, before, after)
+	}
+	reg, err := srv.Register(parse(t, valid), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go drain(reg)
+	if reg.ID() != "q1" {
+		t.Fatalf("first accepted query got id %s, want q1", reg.ID())
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vmq/internal/detect"
 	"vmq/internal/filters"
 	"vmq/internal/metrics"
 	"vmq/internal/query"
@@ -31,10 +30,12 @@ type Options struct {
 	// feed ends or the query is unregistered).
 	MaxFrames int
 	// SampleSize is the detector sample budget per window for aggregate
-	// queries (default 200).
+	// queries. Zero or less selects the default, 200, which query.Compile
+	// applies for a Session too.
 	SampleSize int
-	// Seed seeds the window sampler and a detector the USING clause
-	// names (default 1).
+	// Seed seeds both the window sampler and a detector the USING clause
+	// names (0 selects 1). A Session seeds the two apart: a USING
+	// detector with its own seed, the sampler with that seed + 101.
 	Seed uint64
 	// ResultBuffer overrides the server's default result-log ring
 	// capacity for this query (rounded up to a power of two, at most
@@ -128,7 +129,6 @@ type Registration struct {
 	feed     *feed
 	feedName string
 	qry      *vql.Query
-	plan     *query.Plan
 	// sub is nil for a finished-form recovery (no runner, no fan-out
 	// slot); every use outside the runner goroutine must tolerate that.
 	sub *stream.Subscription
@@ -167,7 +167,6 @@ type regStats struct {
 	passed       int
 	matches      int
 	windows      int
-	windowed     bool // the runner estimates windows; cost is per sample, not per frame
 	acc          metrics.BoolAccuracy
 	filterCost   time.Duration // per-frame filter charge (0 when not filtering)
 	detectCost   time.Duration // per-confirmation detector charge
@@ -425,35 +424,62 @@ func (r *Registration) closeSpillKeep() {
 	}
 }
 
-// runMonitor executes a SELECT FRAMES query on the pipelined executor,
-// streaming matches out of the confirmation stage as they happen.
-func (r *Registration) runMonitor(eng *query.Engine, n int) {
+// run executes the compiled query until the feed ends, maxFrames frames
+// are read or the query is unregistered, then emits the end event.
+//
+// A monitor streams matches out of the pipelined executor's confirmation
+// stage as they happen. Over a trained network, RunStream's chunks are
+// the frames the subscription already holds, so a paced feed surfaces
+// each match the moment its frame arrives while a backlog fills whole
+// batches; over a surrogate every chunk is one frame. The queries on a
+// feed share its memo: whichever reaches a frame first evaluates it,
+// once, and the others wait on that entry.
+//
+// An aggregate emits one estimate per window as the subscription
+// completes it (query.EachWindow steps the WINDOW clause).
+func (r *Registration) run(c *query.Compiled, maxFrames int) {
 	defer r.sub.Cancel()
-	if n <= 0 {
-		n = math.MaxInt
+	if maxFrames <= 0 {
+		maxFrames = math.MaxInt
 	}
-	eng.Observe = func(o query.FrameObservation) {
-		truth := query.GroundTruthFrame(r.plan, o.Frame)
-		r.stats.mu.Lock()
-		r.stats.frames++
-		if o.Passed {
-			r.stats.passed++
-		}
-		if o.Matched {
-			r.stats.matches++
-		}
-		r.stats.acc.Observe(o.Matched, truth)
-		r.stats.mu.Unlock()
-		if o.Matched {
-			r.emit(Event{
-				Kind:       EventMatch,
-				Seq:        o.Index,
-				FrameIndex: o.Frame.Index,
-				Objects:    len(o.Frame.Objects),
-			}, true)
-		}
+	var res *query.Result
+	if c.Windowed() {
+		// Compile checked the WINDOW clause and set the sampling, so the
+		// one error left is the source running dry (stream.ErrExhausted):
+		// the feed ended, the frame budget ran out or the query was
+		// unregistered.
+		_ = c.EachWindow(&countedSource{r: r, left: maxFrames}, func(start int, w *query.AggregateResult) bool {
+			r.stats.mu.Lock()
+			r.stats.windows++
+			r.stats.virtualExtra += w.VirtualTimePerSample * time.Duration(w.Samples)
+			r.stats.mu.Unlock()
+			r.emit(Event{Kind: EventWindow, WindowStart: start, Window: w}, true)
+			return true
+		})
+	} else {
+		// Monitor fails only on an aggregate.
+		res, _ = c.Monitor(r.sub, maxFrames, func(o query.FrameObservation) {
+			truth := query.GroundTruthFrame(c.Plan, o.Frame)
+			r.stats.mu.Lock()
+			r.stats.frames++
+			if o.Passed {
+				r.stats.passed++
+			}
+			if o.Matched {
+				r.stats.matches++
+			}
+			r.stats.acc.Observe(o.Matched, truth)
+			r.stats.mu.Unlock()
+			if o.Matched {
+				r.emit(Event{
+					Kind:       EventMatch,
+					Seq:        o.Index,
+					FrameIndex: o.Frame.Index,
+					Objects:    len(o.Frame.Objects),
+				}, true)
+			}
+		})
 	}
-	res := eng.RunStream(r.plan, r.sub, n)
 	ev := Event{Kind: EventEnd, Final: res, Reason: r.feed.endedReason()}
 	r.stats.mu.Lock()
 	r.stats.finished = true
@@ -469,32 +495,6 @@ func (r *Registration) runMonitor(eng *query.Engine, n int) {
 	// load, the stream's totals always land (overwriting the oldest
 	// retained event if it must; under Block they wait for space).
 	r.emitFinal(ev, false)
-}
-
-// runWindows executes a windowed aggregate query continuously: it
-// estimates each window as the subscription completes it (query.EachWindow
-// steps the WINDOW clause) and emits one estimate per window until the
-// feed ends, MaxFrames frames are read or the query is unregistered.
-func (r *Registration) runWindows(backend filters.Backend, det detect.Detector, cfg query.AggregateConfig, maxFrames int) {
-	defer r.sub.Cancel()
-	if maxFrames <= 0 {
-		maxFrames = math.MaxInt
-	}
-	// Whatever stops the windows — the source running dry, or an error
-	// that a parsed and bound aggregate query cannot raise — the stream
-	// ends rather than wedging the feed.
-	_ = query.EachWindow(r.plan, &countedSource{r: r, left: maxFrames}, backend, det, cfg, func(start int, res *query.AggregateResult) bool {
-		r.stats.mu.Lock()
-		r.stats.windows++
-		r.stats.virtualExtra += res.VirtualTimePerSample * time.Duration(res.Samples)
-		r.stats.mu.Unlock()
-		r.emit(Event{Kind: EventWindow, WindowStart: start, Window: res}, true)
-		return true
-	})
-	r.stats.mu.Lock()
-	r.stats.finished = true
-	r.stats.mu.Unlock()
-	r.emitFinal(Event{Kind: EventEnd, Reason: r.feed.endedReason()}, false)
 }
 
 // countedSource is a windowed registration's view of its subscription:

@@ -30,10 +30,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vmq/internal/detect"
 	"vmq/internal/query"
 	"vmq/internal/rlog"
-	"vmq/internal/stream"
 	"vmq/internal/vql"
 )
 
@@ -407,6 +405,13 @@ func (s *Server) register(q *vql.Query, opt Options, pin *recoveredQuery) (*Regi
 	if _, ok := rlog.ParsePolicy(string(policy)); !ok {
 		return nil, fmt.Errorf("server: unknown delivery policy %q", policy)
 	}
+	buffer := opt.ResultBuffer
+	if buffer > MaxResultBuffer {
+		return nil, fmt.Errorf("%w: result buffer %d (limit %d)", ErrBufferTooLarge, buffer, MaxResultBuffer)
+	}
+	if buffer <= 0 {
+		buffer = s.cfg.ResultBuffer
+	}
 	// Only registrations expressible over the wire are journalled: a
 	// programmatic backend cannot be re-created from a record, so those
 	// queries stay session-scoped exactly as on a server without a
@@ -414,29 +419,38 @@ func (s *Server) register(q *vql.Query, opt Options, pin *recoveredQuery) (*Regi
 	journaled := s.manifest != nil && (opt.Backend == nil || pin != nil)
 
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
-	}
 	f, ok := s.feeds[q.Source]
-	if !ok {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: no feed %q (have %v)", ErrFeedNotFound, q.Source, s.feedNamesLocked())
+	err := s.admitLocked(f)
+	if !ok && err == nil {
+		err = fmt.Errorf("%w: no feed %q (have %v)", ErrFeedNotFound, q.Source, s.feedNamesLocked())
 	}
-	if f.State() == FeedDraining {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrFeedDraining, f.name)
+	s.mu.Unlock()
+	if err != nil {
+		return nil, err
 	}
-	if lim := s.cfg.MaxQueriesPerFeed; lim > 0 && s.liveRegs[f.name] >= lim {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: feed %q serves %d queries (limit %d)",
-			ErrFeedBusy, f.name, lim, lim)
+
+	// Compile before an id is minted, so a query that cannot run burns
+	// no journal id. Without a USING clause the query confirms with the
+	// feed's memoised detector.
+	tol := *s.cfg.Tol
+	if opt.Tol != nil {
+		tol = *opt.Tol
+	}
+	seed := max(opt.Seed, 1)
+	entry := f.sharedFor(opt.Backend)
+	c, err := query.Compile(q, f.profile, query.Deps{
+		Backend: entry.sh, NewDetector: f.newDet, Seed: seed, Tol: tol,
+		SampleSize: opt.SampleSize, SamplerSeed: seed,
+	})
+	if err != nil {
+		f.release(entry)
+		return nil, err
 	}
 	var id string
 	if pin != nil {
 		id = pin.id
-		s.mu.Unlock()
 	} else {
+		s.mu.Lock()
 		s.nextID++
 		id = fmt.Sprintf("q%d", s.nextID)
 		reserved := s.nextID
@@ -447,45 +461,10 @@ func (s *Server) register(q *vql.Query, opt Options, pin *recoveredQuery) (*Regi
 			// hand the id to a new query whose consumers would then replay
 			// the dead registration's stale segments.
 			if err := s.manifest.reserveID(reserved); err != nil {
+				f.release(entry)
 				return nil, err
 			}
 		}
-	}
-
-	plan, err := query.Bind(q, f.profile)
-	if err != nil {
-		return nil, err
-	}
-	isWindowed := q.Select.Kind != vql.SelectFrames
-	if isWindowed && q.Window == nil {
-		return nil, fmt.Errorf("server: continuous aggregate query needs a WINDOW clause")
-	}
-	if !isWindowed && q.Window != nil && q.Window.Advance < q.Window.Size {
-		return nil, fmt.Errorf("server: SELECT FRAMES does not take a sliding window")
-	}
-
-	tol := *s.cfg.Tol
-	if opt.Tol != nil {
-		tol = *opt.Tol
-	}
-	seed := opt.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	// A USING clause builds the query its own detector; without one the
-	// query confirms with the feed's memoised detector.
-	var det detect.Detector
-	if q.Detector == "" {
-		det = f.newDet()
-	} else if det, err = detect.ByName(q.Detector, nil, seed); err != nil {
-		return nil, err
-	}
-	buffer := opt.ResultBuffer
-	if buffer > MaxResultBuffer {
-		return nil, fmt.Errorf("%w: result buffer %d (limit %d)", ErrBufferTooLarge, buffer, MaxResultBuffer)
-	}
-	if buffer <= 0 {
-		buffer = s.cfg.ResultBuffer
 	}
 	var (
 		log      *rlog.Log[Event]
@@ -506,6 +485,7 @@ func (s *Server) register(q *vql.Query, opt Options, pin *recoveredQuery) (*Regi
 			}
 			spillDir = filepath.Join(s.cfg.SpillDir, id)
 			if spill, err = rlog.NewFileSpill[Event](spillDir, spillCfg); err != nil {
+				f.release(entry)
 				return nil, err
 			}
 			log.SetSpill(spill)
@@ -515,15 +495,11 @@ func (s *Server) register(q *vql.Query, opt Options, pin *recoveredQuery) (*Regi
 		}
 	}
 
-	entry := f.sharedFor(opt.Backend)
-	backend := entry.sh
-
 	r := &Registration{
 		id:        id,
 		feed:      f,
 		feedName:  f.name,
 		qry:       q,
-		plan:      plan,
 		sub:       f.fanout.Subscribe(),
 		log:       log,
 		spill:     spill,
@@ -531,10 +507,9 @@ func (s *Server) register(q *vql.Query, opt Options, pin *recoveredQuery) (*Regi
 		done:      make(chan struct{}),
 		recovered: pin != nil,
 	}
-	r.stats.detectCost = det.Cost().PerCall
-	r.stats.windowed = isWindowed
-	if plan.Where != nil && !isWindowed {
-		r.stats.filterCost = backend.Technique().Cost().PerCall
+	r.stats.detectCost = c.Detector.Cost().PerCall
+	if c.Plan.Where != nil && !c.Windowed() {
+		r.stats.filterCost = entry.sh.Technique().Cost().PerCall
 	}
 	if journaled {
 		m := s.manifest
@@ -562,26 +537,14 @@ func (s *Server) register(q *vql.Query, opt Options, pin *recoveredQuery) (*Regi
 		}
 	}
 
+	// Admission is re-checked under the lock hold that records the
+	// registration. Drain flips the feed's state first and collects
+	// waiters under this lock after, so a registration either lands
+	// before the collection (and is waited for) or is rejected here; and
+	// concurrent registrations may have filled the feed since the early
+	// check.
 	s.mu.Lock()
-	err = nil
-	switch lim := s.cfg.MaxQueriesPerFeed; {
-	case s.closed:
-		err = ErrClosed
-	case f.State() == FeedDraining:
-		// Re-checked under the same lock hold that records the
-		// registration: drain flips the state first and collects waiters
-		// under this lock after, so a registration either lands before the
-		// collection (and is waited for) or is rejected here — it cannot
-		// slip between.
-		err = fmt.Errorf("%w: %q", ErrFeedDraining, f.name)
-	case lim > 0 && s.liveRegs[f.name] >= lim:
-		// Re-checked here, where the slot is actually taken: the early
-		// check ran under a previous lock acquisition and concurrent
-		// registrations may have filled the feed since.
-		err = fmt.Errorf("%w: feed %q serves %d queries (limit %d)",
-			ErrFeedBusy, f.name, s.liveRegs[f.name], lim)
-	}
-	if err != nil {
+	if err = s.admitLocked(f); err != nil {
 		s.mu.Unlock()
 		r.sub.Cancel()
 		r.closeSpill()
@@ -605,44 +568,34 @@ func (s *Server) register(q *vql.Query, opt Options, pin *recoveredQuery) (*Regi
 	}
 
 	s.wg.Add(1)
-	if isWindowed {
-		sampleSize := opt.SampleSize
-		if sampleSize <= 0 {
-			sampleSize = 200
-		}
-		cfg := query.AggregateConfig{
-			SampleSize:       sampleSize,
-			Sampler:          stream.NewUniformSampler(seed),
-			MuFromFullWindow: true,
-		}
-		go func() {
-			defer s.wg.Done()
-			r.guard(func() { r.runWindows(backend, det, cfg, opt.MaxFrames) })
-			release()
-			r.finish()
-			s.retire(id)
-			s.journalFinished(r, journaled)
-		}()
-	} else {
-		// Over a trained network, RunStream's chunks are the frames the
-		// subscription already holds, so a paced feed surfaces each match
-		// the moment its frame arrives while a backlog fills whole
-		// batches; over a surrogate every chunk is one frame. The queries
-		// on a feed share its memo: whichever reaches a frame first
-		// evaluates it, once, and the others wait on that entry.
-		eng := &query.Engine{Backend: backend, Detector: det, Tol: tol}
-		go func() {
-			defer s.wg.Done()
-			r.guard(func() { r.runMonitor(eng, opt.MaxFrames) })
-			// Release before signalling Done: whoever waited on the
-			// unregister sees the admission slot already free.
-			release()
-			r.finish()
-			s.retire(id)
-			s.journalFinished(r, journaled)
-		}()
-	}
+	go func() {
+		defer s.wg.Done()
+		r.guard(func() { r.run(c, opt.MaxFrames) })
+		// Release before signalling Done: whoever waited on the
+		// unregister sees the admission slot already free.
+		release()
+		r.finish()
+		s.retire(id)
+		s.journalFinished(r, journaled)
+	}()
 	return r, nil
+}
+
+// admitLocked reports why feed f (nil when the query names no feed) cannot
+// take another registration: the server closed, the feed draining, or
+// the feed at its query limit.
+func (s *Server) admitLocked(f *feed) error {
+	switch lim := s.cfg.MaxQueriesPerFeed; {
+	case s.closed:
+		return ErrClosed
+	case f == nil:
+		return nil
+	case f.State() == FeedDraining:
+		return fmt.Errorf("%w: %q", ErrFeedDraining, f.name)
+	case lim > 0 && s.liveRegs[f.name] >= lim:
+		return fmt.Errorf("%w: feed %q serves %d queries (limit %d)", ErrFeedBusy, f.name, s.liveRegs[f.name], lim)
+	}
+	return nil
 }
 
 // journalFinished settles a finished runner's manifest record. A spilled
@@ -1021,12 +974,10 @@ func (r *Registration) metricsRow() QueryMetrics {
 		qm.Selectivity = float64(r.stats.passed) / float64(r.stats.frames)
 	}
 	// Window runners pay per sampled frame (virtualExtra), monitor
-	// runners per frame filtered plus per confirmation.
-	virtual := r.stats.virtualExtra
-	if !r.stats.windowed {
-		virtual += r.stats.filterCost*time.Duration(r.stats.frames) +
-			r.stats.detectCost*time.Duration(r.stats.passed)
-	}
+	// runners per frame filtered plus per confirmation; a window runner
+	// has no filter charge and passes no frame.
+	virtual := r.stats.virtualExtra + r.stats.filterCost*time.Duration(r.stats.frames) +
+		r.stats.detectCost*time.Duration(r.stats.passed)
 	qm.VirtualTimeMs = float64(virtual) / float64(time.Millisecond)
 	r.stats.mu.Unlock()
 	if r.spill != nil {

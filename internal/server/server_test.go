@@ -411,6 +411,13 @@ func TestServerValidation(t *testing.T) {
 	if _, err := srv.Register(parse(t, `SELECT FRAMES FROM jackson WHERE COUNT(tank) = 1`), Options{}); err == nil {
 		t.Fatal("unbindable query accepted")
 	}
+	// The parser refuses a HOPPING advance below the size; a query built
+	// in code must be refused at registration, not end with no window.
+	overlap := parse(t, `SELECT COUNT(FRAMES) FROM jackson WHERE COUNT(car) = 1 WINDOW HOPPING (SIZE 100, ADVANCE BY 100)`)
+	overlap.Window.Advance = 50
+	if _, err := srv.Register(overlap, Options{}); !errors.Is(err, query.ErrInvalidQuery) {
+		t.Fatalf("HOPPING window with advance < size: error %v, want ErrInvalidQuery", err)
+	}
 	if err := srv.Unregister("q999"); err == nil {
 		t.Fatal("unknown unregister accepted")
 	}

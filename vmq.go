@@ -18,8 +18,6 @@
 package vmq
 
 import (
-	"fmt"
-
 	"vmq/internal/detect"
 	"vmq/internal/filters"
 	"vmq/internal/fleet"
@@ -169,6 +167,11 @@ var (
 	// ErrBufferTooLarge reports a Register or ingest request asking for a
 	// ring beyond the server's cap.
 	ErrBufferTooLarge = server.ErrBufferTooLarge
+	// ErrInvalidQuery reports a query that cannot run as asked, from a
+	// Session method or Server.Register alike: a name that does not
+	// bind, a USING clause naming an unknown detector, a WINDOW clause
+	// its kind does not take, or an aggregate run as a monitor.
+	ErrInvalidQuery = query.ErrInvalidQuery
 )
 
 // FeedState is a feed's lifecycle phase (Server.Metrics reports it per
@@ -292,6 +295,9 @@ func ParseDeliveryPolicy(s string) (DeliveryPolicy, bool) { return rlog.ParsePol
 // stack: an OD filter backend (the paper's best-performing family), the
 // Mask R-CNN-stand-in oracle detector, and a virtual clock. A query whose
 // USING clause names a detector is confirmed by that detector instead.
+// The Run methods compile a query as Server.Register does, so they accept
+// and reject the same queries (RunAggregate also takes a windowless
+// aggregate given a window size); a rejection wraps ErrInvalidQuery.
 type Session struct {
 	Profile  Profile
 	Stream   *video.Stream
@@ -328,18 +334,18 @@ func (s *Session) UseICFilters() {
 // Bind compiles and binds a query against the session's profile.
 func (s *Session) Bind(q *Query) (*Plan, error) { return query.Bind(q, s.Profile) }
 
-// prepare binds q and resolves the detector that confirms it: the one its
-// USING clause names, or the session's.
-func (s *Session) prepare(q *Query) (*Plan, Detector, error) {
-	plan, err := s.Bind(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	if q.Detector == "" {
-		return plan, s.Detector, nil
-	}
-	det, err := detect.ByName(q.Detector, s.Clock, s.seed)
-	return plan, det, err
+// compile seeds a USING detector with the session's seed and the window
+// sampler with seed+101.
+func (s *Session) compile(q *Query, backend Backend, sampleSize int) (*query.Compiled, error) {
+	return query.Compile(q, s.Profile, query.Deps{
+		Backend:     backend,
+		NewDetector: func() Detector { return s.Detector },
+		Clock:       s.Clock,
+		Seed:        s.seed,
+		Tol:         s.Tol,
+		SampleSize:  sampleSize,
+		SamplerSeed: s.seed + 101,
+	})
 }
 
 // Source wraps the session's frame stream as a pull-based Source for the
@@ -350,6 +356,7 @@ func (s *Session) Source() Source { return stream.FromStream(s.Stream) }
 // session's stream using the filter-then-detect cascade, on the pipelined
 // streaming executor: frames are pulled from the stream, filtered by a
 // worker pool, and confirmed in order — never materialising the clip.
+// An aggregate query is rejected with ErrInvalidQuery (see RunWindows).
 func (s *Session) RunQuery(q *Query, n int) (*Result, error) {
 	return s.RunQueryOn(q, s.Source(), n)
 }
@@ -358,62 +365,61 @@ func (s *Session) RunQuery(q *Query, n int) (*Result, error) {
 // an arbitrary source (a recorded clip via SliceSource, a live feed, ...).
 // A short source ends the query gracefully.
 func (s *Session) RunQueryOn(q *Query, src Source, n int) (*Result, error) {
-	plan, det, err := s.prepare(q)
+	c, err := s.compile(q, s.Backend, 0)
 	if err != nil {
 		return nil, err
 	}
-	eng := &query.Engine{Backend: s.Backend, Detector: det, Tol: s.Tol}
-	return eng.RunStream(plan, src, n), nil
+	return c.Monitor(src, n, nil)
 }
 
 // RunQueryBrute executes the brute-force baseline (detector on every
 // frame) for comparison.
 func (s *Session) RunQueryBrute(q *Query, n int) (*Result, error) {
-	plan, det, err := s.prepare(q)
+	c, err := s.compile(q, nil, 0)
 	if err != nil {
 		return nil, err
 	}
-	eng := &query.Engine{Detector: det}
-	return eng.RunStream(plan, s.Source(), n), nil
+	return c.Monitor(s.Source(), n, nil)
 }
 
 // RunAggregate executes a windowed aggregate with sampling and (multiple)
 // control variates over the next window of frames. The window size is
-// taken from the query's WINDOW clause, or windowSize when absent.
+// taken from the query's WINDOW clause, or windowSize when absent. The
+// detector samples sampleSize frames (200 when sampleSize <= 0).
 func (s *Session) RunAggregate(q *Query, windowSize, sampleSize int) (*AggregateResult, error) {
-	plan, det, err := s.prepare(q)
+	if q.Window == nil && windowSize > 0 {
+		one := *q
+		one.Window = &vql.WindowSpec{Kind: vql.Hopping, Size: windowSize, Advance: windowSize}
+		q = &one
+	}
+	c, err := s.compile(q, s.Backend, sampleSize)
 	if err != nil {
 		return nil, err
 	}
-	if q.Window != nil {
-		windowSize = q.Window.Size
+	// The clip holds one window, so the stream moves on by its size
+	// alone; a monitor, which RunWindows rejects, takes no frame.
+	var clip []*Frame
+	if c.Windowed() {
+		clip = s.Stream.Take(q.Window.Size)
 	}
-	if windowSize <= 0 {
-		return nil, fmt.Errorf("vmq: no window size (add a WINDOW clause or pass windowSize)")
+	wins, err := c.RunWindows(SliceSource(clip), 1)
+	if err != nil {
+		return nil, err
 	}
-	frames := s.Stream.Take(windowSize)
-	return query.RunAggregate(plan, frames, s.Backend, det, query.AggregateConfig{
-		SampleSize:       sampleSize,
-		Sampler:          stream.NewUniformSampler(s.seed + 101),
-		MuFromFullWindow: true,
-	})
+	return wins[0], nil
 }
 
 // RunWindows executes a windowed aggregate query over n consecutive
 // windows of the session's stream, honouring the query's WINDOW clause
 // (HOPPING windows tile or skip; SLIDING windows overlap), and reports
-// one estimate per window. If the query has no WINDOW clause an error is
-// returned.
+// one estimate per window, each from sampleSize detector samples (200
+// when sampleSize <= 0).
 func (s *Session) RunWindows(q *Query, n, sampleSize int) ([]*AggregateResult, error) {
-	plan, det, err := s.prepare(q)
+	c, err := s.compile(q, s.Backend, sampleSize)
 	if err != nil {
 		return nil, err
 	}
-	return query.RunWindows(plan, s.Source(), s.Backend, det, n, query.AggregateConfig{
-		SampleSize:       sampleSize,
-		Sampler:          stream.NewUniformSampler(s.seed + 101),
-		MuFromFullWindow: true,
-	})
+	return c.RunWindows(s.Source(), n)
 }
 
 // GroundTruth evaluates the plan's predicate on simulator ground truth for

@@ -81,6 +81,16 @@ func TestSessionAggregateNeedsWindow(t *testing.T) {
 	if _, err := sess.RunAggregate(q, 800, 50); err != nil {
 		t.Fatalf("explicit window rejected: %v", err)
 	}
+	// A monitor is rejected before it takes a frame from the stream.
+	monitor, _ := vmq.ParseQuery(`SELECT FRAMES FROM jackson WHERE COUNT(car) = 1`)
+	for _, size := range []int{-1, 100} {
+		if _, err := sess.RunAggregate(monitor, size, 50); !errors.Is(err, vmq.ErrInvalidQuery) {
+			t.Fatalf("monitor, window size %d: error %v, want ErrInvalidQuery", size, err)
+		}
+	}
+	if f := sess.Stream.Next(); f.Index != 800 {
+		t.Fatalf("next frame after the rejected monitor is %d, want 800", f.Index)
+	}
 }
 
 func TestUseICFilters(t *testing.T) {
@@ -219,6 +229,84 @@ func TestSessionHonoursUsing(t *testing.T) {
 		sess = vmq.NewSession(vmq.Jackson(), 3)
 		if oracle, _ := r.run(parse(r.query, "jackson")); reflect.DeepEqual(got, oracle) {
 			t.Errorf("%s: YOLO and the default detector agree, so the check cannot tell them apart", r.name)
+		}
+	}
+}
+
+// Server.Register and the Session method that runs a query's kind accept
+// and reject the same queries, and every rejection is typed. A query of
+// the other kind is rejected too: an aggregate by RunQuery, RunQueryOn
+// and RunQueryBrute (a Result cannot carry windows), a monitor by
+// RunWindows and RunAggregate. (RunAggregate is given no window size, so
+// like the others it takes the window from the query alone.)
+func TestSessionAndServerAgree(t *testing.T) {
+	parse := func(src string) *vmq.Query {
+		q, err := vmq.ParseQuery(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	const hopping = ` WINDOW HOPPING (SIZE 100, ADVANCE BY 100)`
+	overlap := parse(`SELECT COUNT(FRAMES) FROM jackson WHERE COUNT(car) >= 1` + hopping)
+	overlap.Window.Advance = 50 // the parser refuses this; code can build it
+	cases := []struct {
+		name      string
+		q         *vmq.Query
+		aggregate bool
+		want      error // nil: accepted
+	}{
+		{"frames", parse(`SELECT FRAMES FROM jackson WHERE COUNT(car) >= 1`), false, nil},
+		{"frames, non-overlapping window", parse(`SELECT FRAMES FROM jackson WHERE COUNT(car) >= 1` + hopping), false, nil},
+		{"frames, sliding window", parse(`SELECT FRAMES FROM jackson WHERE COUNT(car) >= 1 WINDOW SLIDING (SIZE 100, ADVANCE BY 50)`), false, vmq.ErrInvalidQuery},
+		{"count, no window", parse(`SELECT COUNT(FRAMES) FROM jackson WHERE COUNT(car) >= 1`), true, vmq.ErrInvalidQuery},
+		{"count, hopping", parse(`SELECT COUNT(FRAMES) FROM jackson WHERE COUNT(car) >= 1` + hopping), true, nil},
+		{"avg, sliding", parse(`SELECT AVG(COUNT(car)) FROM jackson WINDOW SLIDING (SIZE 100, ADVANCE BY 50)`), true, nil},
+		{"hopping, advance < size", overlap, true, vmq.ErrInvalidQuery},
+		{"unknown USING detector", parse(`SELECT FRAMES FROM (PROCESS jackson USING nosuch) WHERE COUNT(car) >= 1`), false, detect.ErrUnknownDetector},
+		{"unbindable class", parse(`SELECT COUNT(FRAMES) FROM jackson WHERE COUNT(tank) >= 1` + hopping), true, vmq.ErrInvalidQuery},
+	}
+
+	srv := vmq.NewServer(vmq.ServerConfig{})
+	if err := srv.AddFeed(vmq.LiveFeed(vmq.Jackson(), 1)); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	session := func() *vmq.Session { return vmq.NewSession(vmq.Jackson(), 1) }
+	monitors := map[string]func(q *vmq.Query) error{
+		"RunQuery":      func(q *vmq.Query) error { _, err := session().RunQuery(q, 50); return err },
+		"RunQueryOn":    func(q *vmq.Query) error { s := session(); _, err := s.RunQueryOn(q, s.Source(), 50); return err },
+		"RunQueryBrute": func(q *vmq.Query) error { _, err := session().RunQueryBrute(q, 50); return err },
+	}
+	windows := map[string]func(q *vmq.Query) error{
+		"RunWindows":   func(q *vmq.Query) error { _, err := session().RunWindows(q, 1, 20); return err },
+		"RunAggregate": func(q *vmq.Query) error { _, err := session().RunAggregate(q, 0, 20); return err },
+	}
+	for _, c := range cases {
+		runs, others := monitors, windows
+		if c.aggregate {
+			runs, others = windows, monitors
+		}
+		reg, err := srv.Register(c.q, vmq.RegistrationOptions{})
+		if err == nil {
+			_ = srv.Unregister(reg.ID())
+		}
+		results := map[string]error{"Server.Register": err}
+		for name, run := range runs {
+			results[name] = run(c.q)
+		}
+		for name, err := range results {
+			if c.want == nil && err != nil {
+				t.Errorf("%s: %s rejected it: %v", c.name, name, err)
+			}
+			if c.want != nil && (!errors.Is(err, c.want) || !errors.Is(err, vmq.ErrInvalidQuery)) {
+				t.Errorf("%s: %s error = %v, want %v and ErrInvalidQuery", c.name, name, err, c.want)
+			}
+		}
+		for name, run := range others {
+			if err := run(c.q); !errors.Is(err, vmq.ErrInvalidQuery) {
+				t.Errorf("%s: %s error = %v, want ErrInvalidQuery (wrong kind)", c.name, name, err)
+			}
 		}
 	}
 }
