@@ -156,7 +156,7 @@ func BenchmarkUnexpectedObjects(b *testing.B)   { benchPaperFigure(b, "Unexpecte
 // benchEngineSetup prepares the workload both engine benchmarks share: a
 // dense Detrac clip under a spatial query, so the per-frame filter
 // evaluation (count heads plus 56x56 location maps) dominates and the
-// pipelined executor's worker-pool fan-out has real work to parallelise.
+// pipelined executor has a real filter stage to overlap with the detector.
 func benchEngineSetup(b *testing.B) (*query.Plan, []*video.Frame, func() *query.Engine) {
 	b.Helper()
 	p := video.Detrac()
@@ -188,10 +188,10 @@ func BenchmarkRunSequential(b *testing.B) {
 	b.ReportMetric(float64(len(frames))*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
 }
 
-// BenchmarkRunStream is the pipelined executor over the same workload;
-// run with -cpu 1,2,4 to see the filter fan-out scale. Results are
-// identical to the sequential loop (TestRunStreamMatchesSequential); on
-// >= 2 cores the wall clock should be measurably lower.
+// BenchmarkRunStream is the pipelined executor over the same workload:
+// its source, filter and detector stages run on their own goroutines.
+// Results are identical to the sequential loop
+// (TestRunStreamMatchesSequential).
 func BenchmarkRunStream(b *testing.B) {
 	plan, frames, mk := benchEngineSetup(b)
 	eng := mk()

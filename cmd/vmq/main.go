@@ -140,13 +140,17 @@ func cmdQuery(args []string, out, errw io.Writer) error {
 	sess := vmq.NewSession(p, *seed)
 	sess.Tol = vmq.Tolerances{Count: *ctol, Location: *ltol}
 
+	if *explain {
+		text, err := sess.Explain(q)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(out, text)
+		return nil
+	}
 	plan, err := sess.Bind(q)
 	if err != nil {
 		return err
-	}
-	if *explain {
-		fmt.Fprint(out, plan.Describe(sess.Backend, sess.Tol))
-		return nil
 	}
 	framesSlice := sess.Stream.Take(*frames)
 	truth := vmq.GroundTruth(plan, framesSlice)

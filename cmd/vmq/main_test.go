@@ -91,6 +91,32 @@ func TestQueryHappyPath(t *testing.T) {
 	}
 }
 
+// -explain compiles the query as the run does: a monitor prints its
+// cascade, and an aggregate fails as `vmq query` fails on it.
+func TestQueryExplain(t *testing.T) {
+	code, stdout, stderr := runCmd("query", "-explain",
+		"-q", "SELECT FRAMES FROM jackson WHERE COUNT(car) = 1 AND car LEFT OF person")
+	want := `plan for: SELECT FRAMES FROM jackson WHERE (COUNT(car) = 1 AND car LEFT OF person)
+dataset:  jackson (1.2 obj/frame)
+filters:  OD, tolerances CCF-1/CLF-1
+cascade:
+  AND
+    COUNT(car) = 1   <- CCF
+    car left-of person   <- CLF activation maps + CCF cross-check
+cost model: 1.9ms/frame filter + 200ms/frame detector on passed frames
+`
+	if code != 0 || stdout != want {
+		t.Fatalf("code=%d stderr=%q stdout:\n%s\nwant:\n%s", code, stderr, stdout, want)
+	}
+
+	code, stdout, stderr = runCmd("query", "-explain",
+		"-q", "SELECT COUNT(FRAMES) FROM jackson WHERE COUNT(car) >= 1 WINDOW HOPPING (SIZE 300, ADVANCE BY 300)")
+	wantErr := "vmq: invalid query: COUNT(FRAMES) is an aggregate; run it window by window\n"
+	if code != 1 || stdout != "" || stderr != wantErr {
+		t.Fatalf("aggregate: code=%d stdout=%q stderr=%q, want exit 1 and %q", code, stdout, stderr, wantErr)
+	}
+}
+
 // The windows happy path estimates consecutive hopping windows.
 func TestWindowsHappyPath(t *testing.T) {
 	code, stdout, stderr := runCmd("windows",

@@ -26,8 +26,8 @@ func main() {
 	// (branching off a detector backbone, 1.9 ms/frame of virtual time)
 	// and the Mask R-CNN stand-in detector (200 ms/frame). RunQuery pulls
 	// frames through the pipelined streaming executor: the filter stage
-	// fans out across a worker pool while the detector confirms survivors
-	// in frame order, so results are identical to a sequential scan.
+	// runs chunks ahead while the detector confirms survivors in frame
+	// order, so results are identical to a sequential scan.
 	const frames = 3000
 	sess := vmq.NewSession(vmq.Jackson(), 42)
 	sess.Tol = vmq.Tolerances{} // exact CCF, the paper's q3 configuration

@@ -4,9 +4,9 @@
 // of the paper is a monitor that keeps up with a live feed. This example
 // runs the same query three ways:
 //
-//  1. over the live (unbounded) session stream, pulled frame by frame
-//     through the pipelined executor — filter fan-out across GOMAXPROCS
-//     workers, in-order confirmation, bounded channels for backpressure;
+//  1. over the live (unbounded) session stream, pulled chunk by chunk
+//     through the pipelined executor — a filter stage running ahead of
+//     in-order confirmation, bounded channels for backpressure;
 //
 //  2. over a short recorded clip via SliceSource, showing graceful
 //     end-of-stream instead of a panic when the clip runs out;
@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"runtime"
 
 	"vmq"
 )
@@ -45,8 +44,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("live stream:  %d frames -> %d matches (%d detector calls, %v virtual time, %d filter workers)\n",
-		res.FramesTotal, len(res.Matched), res.DetectorCalls, res.VirtualTime, runtime.GOMAXPROCS(0))
+	fmt.Printf("live stream:  %d frames -> %d matches (%d detector calls, %v virtual time)\n",
+		res.FramesTotal, len(res.Matched), res.DetectorCalls, res.VirtualTime)
 
 	// 2. Recorded clip: a SliceSource ends gracefully, so asking for more
 	// frames than the clip holds just processes the whole clip.

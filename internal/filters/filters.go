@@ -175,15 +175,18 @@ func ForwardFlopsOf(b Backend) int64 {
 
 // ConcurrentBackend is implemented by backends whose Evaluate may be
 // called from multiple goroutines at once with per-frame deterministic
-// results (output depends only on the frame, not on call order).
+// results (output depends only on the frame, not on call order). Several
+// queries on one feed call its filters.Shared memo at once; the memo
+// serialises its calls into a backend that does not declare this.
 type ConcurrentBackend interface {
 	Backend
 	// ConcurrentSafe reports whether concurrent Evaluate calls are safe.
 	ConcurrentSafe() bool
 }
 
-// ConcurrentSafe reports whether b's Evaluate may be fanned out across a
-// worker pool. Backends that do not declare themselves via
+// ConcurrentSafe reports whether b's Evaluate may run on several
+// goroutines at once; it decides whether a filters.Shared memo serialises
+// its calls into b. Backends that do not declare themselves via
 // ConcurrentBackend are conservatively treated as single-threaded (the
 // trained CNN backends reuse forward-pass activation buffers).
 func ConcurrentSafe(b Backend) bool {

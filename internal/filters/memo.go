@@ -11,10 +11,9 @@ import (
 // memo.Cache), turning N query pipelines that scan the same feed into
 // one shared scan: whichever pipeline reaches a frame first runs the
 // network (and pays its virtual cost); every other pipeline gets the
-// cached Output for free. This is sound for exactly the backends the
-// pipelined executor can fan out — the output must depend only on the
-// frame, not on which caller asks first — and the calibrated backends
-// document that property. A backend that is not concurrency-safe is
+// cached Output for free. This is sound when the output depends only on
+// the frame, not on which caller asks first, as every backend here
+// documents. A backend that is not concurrency-safe (ConcurrentSafe) is
 // still usable: Shared serialises its calls and the memoisation makes
 // the combination safe to share across goroutines.
 //
@@ -50,7 +49,7 @@ func (s *Shared) Grid() int { return s.inner.Grid() }
 
 // ConcurrentSafe implements ConcurrentBackend: the cache is mutex-guarded
 // and inner calls are serialised when the inner backend needs it, so
-// Shared may always be fanned out.
+// several queries may call one Shared at once.
 func (s *Shared) ConcurrentSafe() bool { return true }
 
 // Stats reports cache hits (outputs served without an inner evaluation)

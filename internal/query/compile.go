@@ -98,11 +98,27 @@ var errNotAggregate = fmt.Errorf("%w: SELECT FRAMES is a monitor, not an aggrega
 // An aggregate's answer is windows, which a Result cannot carry: it
 // returns an error wrapping ErrInvalidQuery.
 func (c *Compiled) Monitor(src stream.Source, n int, observe func(FrameObservation)) (*Result, error) {
-	if c.agg != nil {
-		return nil, fmt.Errorf("%w: %s is an aggregate; run it window by window", ErrInvalidQuery, c.Plan.Query.Select)
+	if err := c.checkMonitor(); err != nil {
+		return nil, err
 	}
 	eng := &Engine{Backend: c.backend, Detector: c.Detector, Tol: c.tol, Observe: observe}
 	return eng.RunStream(c.Plan, src, n), nil
+}
+
+// Explain renders the execution plan Monitor runs (Plan.Describe). Like
+// Monitor it refuses an aggregate.
+func (c *Compiled) Explain() (string, error) {
+	if err := c.checkMonitor(); err != nil {
+		return "", err
+	}
+	return c.Plan.Describe(c.backend, c.tol), nil
+}
+
+func (c *Compiled) checkMonitor() error {
+	if c.agg != nil {
+		return fmt.Errorf("%w: %s is an aggregate; run it window by window", ErrInvalidQuery, c.Plan.Query.Select)
+	}
+	return nil
 }
 
 // EachWindow runs an aggregate through the EachWindow function.

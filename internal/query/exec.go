@@ -25,11 +25,6 @@ type Engine struct {
 	Backend  filters.Backend
 	Detector detect.Detector
 	Tol      Tolerances
-	// Workers caps RunStream's filter worker pool. 0 (the default) sizes
-	// the pool to GOMAXPROCS; callers that already parallelise above the
-	// engine (one engine per camera, say) set it lower so the fleet's
-	// total worker count still matches the machine.
-	Workers int
 	// Observe, when non-nil, receives one FrameObservation per executed
 	// frame, in frame order, from the confirmation stage. It is how
 	// long-running callers (the continuous-query server) stream matches
@@ -106,8 +101,7 @@ func (e *Engine) Run(plan *Plan, frames []*video.Frame) *Result {
 // single-threaded reference loop: filter every frame, confirm survivors
 // with the detector, in strict frame order on one goroutine. RunStream is
 // the production path; this loop is kept as the semantic specification
-// the pipelined executor is tested against, and as the baseline
-// BenchmarkRunStream measures speedup over.
+// the pipelined executor is tested against.
 func (e *Engine) RunSequential(plan *Plan, frames []*video.Frame) *Result {
 	res := &Result{FramesTotal: len(frames)}
 	var filterCost, detectCost time.Duration

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -26,13 +25,6 @@ type CameraFeed struct {
 type CameraResult struct {
 	CameraID string
 	Result   *Result
-	// Workers is the filter worker cap RunMulti gave this feed's engine:
-	// GOMAXPROCS divided across the fleet, floored at 1. With many feeds
-	// on few cores the cap silently degrades to one worker per feed, so
-	// the scheduling decision is surfaced here for callers and tests to
-	// assert on. The engine may use fewer workers (a single-threaded
-	// backend always runs with one).
-	Workers int
 }
 
 // RunMulti executes the same bound query over several camera feeds
@@ -41,26 +33,16 @@ type CameraResult struct {
 // multiple cameras"). Results are returned sorted by camera id.
 func RunMulti(plan *Plan, feeds []CameraFeed, tol Tolerances) []CameraResult {
 	out := make([]CameraResult, len(feeds))
-	// Camera-level fan-out already covers the cores, so each engine's
-	// filter pool gets an equal share of GOMAXPROCS rather than a full
-	// pool of its own (which would oversubscribe by the fleet size).
-	perFeed := 1
-	if len(feeds) > 0 {
-		if perFeed = runtime.GOMAXPROCS(0) / len(feeds); perFeed < 1 {
-			perFeed = 1
-		}
-	}
 	var wg sync.WaitGroup
 	for i, feed := range feeds {
 		wg.Add(1)
 		go func(i int, feed CameraFeed) {
 			defer wg.Done()
-			eng := &Engine{Backend: feed.Backend, Detector: feed.Detector, Tol: tol, Workers: perFeed}
+			eng := &Engine{Backend: feed.Backend, Detector: feed.Detector, Tol: tol}
 			src := &stream.SliceSource{Frames: feed.Frames}
 			out[i] = CameraResult{
 				CameraID: feed.CameraID,
 				Result:   eng.RunStream(plan, src, len(feed.Frames)),
-				Workers:  perFeed,
 			}
 		}(i, feed)
 	}

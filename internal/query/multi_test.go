@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"vmq/internal/detect"
@@ -79,35 +78,6 @@ func TestRunMultiMatchesSequential(t *testing.T) {
 	}
 	if merged.Selectivity() <= 0 || merged.Selectivity() > 1 {
 		t.Fatalf("merged selectivity = %v", merged.Selectivity())
-	}
-}
-
-// RunMulti surfaces the per-feed filter worker cap it gives each
-// engine: an equal share of GOMAXPROCS, floored at one worker per feed.
-func TestRunMultiSurfacesWorkerBudget(t *testing.T) {
-	p := video.Jackson()
-	plan := MustBind(parse(t, `SELECT FRAMES FROM jackson WHERE COUNT(car) >= 1`), p)
-	for _, cameras := range []int{1, 2, 64} {
-		feeds := make([]CameraFeed, cameras)
-		for i := range feeds {
-			seed := uint64(300 + i)
-			feeds[i] = CameraFeed{
-				CameraID: fmt.Sprintf("cam%02d", i),
-				Frames:   video.NewStream(p, seed).Take(20),
-				Backend:  filters.NewODFilter(p, seed, nil),
-				Detector: detect.NewOracle(nil),
-			}
-		}
-		want := runtime.GOMAXPROCS(0) / cameras
-		if want < 1 {
-			want = 1 // the silent floor, now visible to callers
-		}
-		for _, r := range RunMulti(plan, feeds, Tolerances{}) {
-			if r.Workers != want {
-				t.Fatalf("%d cameras: %s granted %d workers, want %d",
-					cameras, r.CameraID, r.Workers, want)
-			}
-		}
 	}
 }
 

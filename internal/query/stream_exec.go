@@ -2,9 +2,7 @@ package query
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/debug"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,23 +16,23 @@ import (
 // consecutive frames starting at stream index start. Chunking amortises
 // channel operations and lets backends batch via filters.EvaluateBatch.
 type streamChunk struct {
-	seq    int // chunk counter, for ordered reassembly
 	start  int // stream index of frames[0]
 	frames []*video.Frame
 	pass   []bool // filter verdicts, set by the filter stage
 }
 
 // defaultChunkSize caps a chunk: large enough that per-chunk costs vanish
-// next to filter evaluation, small enough that the worker pool stays busy
-// on short queries.
+// next to filter evaluation, small enough that a backlog still flows
+// through the stages chunk by chunk.
 const defaultChunkSize = 32
 
 // RunStream executes a bound monitoring query over up to n frames pulled
 // from src, overlapping the pipeline stages the sequential loop
 // interleaves:
 //
-//	source -> filter workers (fan-out) -> reorder -> detector (in order)
+//	source -> filter -> detector
 //
+// Each stage runs on one goroutine and hands chunks on in stream order.
 // The source stage pulls frames and groups them into chunks of up to
 // defaultChunkSize. On a source that reports how many frames it already
 // holds (a fan-out subscription) a chunk never waits for frames that have
@@ -45,13 +43,11 @@ const defaultChunkSize = 32
 // frame does, while a backlog fills whole chunks. Any other query on such
 // a source streams chunks of one frame: it gains nothing from width, and
 // a wide chunk would release its matches, and admit the feed's next
-// frames, in chunk-wide bursts. A pool of filter
-// workers (GOMAXPROCS-wide when the backend declares itself
-// concurrency-safe, one otherwise) evaluates the filter stage; chunks are
-// reassembled in stream order; and the detector stage confirms surviving
-// frames sequentially on the caller's goroutine. All channels are
-// bounded, so a slow detector back-pressures the source instead of
-// buffering the whole stream.
+// frames, in chunk-wide bursts. The filter stage evaluates each chunk
+// with one batch call, which a trained backend spreads over the cores
+// itself; the detector stage confirms surviving frames on the caller's
+// goroutine. All channels are bounded, so a slow detector back-pressures
+// the source instead of buffering the whole stream.
 //
 // The result is identical — field for field, including Matched order and
 // VirtualTime — to RunSequential over the same frames: the filter output
@@ -66,26 +62,9 @@ func (e *Engine) RunStream(plan *Plan, src stream.Source, n int) *Result {
 		return res
 	}
 	filtering := e.Backend != nil && plan.Where != nil
-	workers := 1
-	if filtering && filters.ConcurrentSafe(e.Backend) {
-		workers = runtime.GOMAXPROCS(0)
-		if e.Workers > 0 && e.Workers < workers {
-			workers = e.Workers
-		}
-	}
-
-	// tokens bounds the chunks in flight between the source and the
-	// reorder stage. Without it a single stalled worker lets the others
-	// keep cycling: the reorder buffer would absorb every finished chunk
-	// while waiting for the stalled one, growing without bound. A token
-	// is taken per chunk read and returned when the chunk leaves the
-	// reorder stage, so total buffered memory stays O(workers·defaultChunkSize)
-	// no matter how unevenly the workers run.
-	maxInflight := 3*workers + 2
-	tokens := make(chan struct{}, maxInflight)
 
 	// failure latches the first panic recovered in any stage. Once set,
-	// the source stops pulling, filter workers pass chunks through
+	// the source stops pulling, the filter stage passes chunks through
 	// unevaluated, and the confirmation stage drains without confirming —
 	// the pipeline unwinds cleanly and the caller gets a Result carrying
 	// the Failure instead of a crashed process. One poisoned backend must
@@ -100,7 +79,7 @@ func (e *Engine) RunStream(plan *Plan, src stream.Source, n int) *Result {
 	}
 
 	// Stage 1: pull frames from the source and chunk them.
-	jobs := make(chan *streamChunk, workers)
+	jobs := make(chan *streamChunk, 1)
 	held, ragged := src.(interface{ Depth() int })
 	heldCap := 1
 	if ragged && filtering && evaluatesNetwork(e.Backend) {
@@ -108,18 +87,17 @@ func (e *Engine) RunStream(plan *Plan, src stream.Source, n int) *Result {
 	}
 	go func() {
 		defer close(jobs)
-		for seq, start := 0, 0; start < n; seq++ {
+		for start := 0; start < n; {
 			if failure.Load() != nil {
 				return // a stage faulted: stop feeding the pipeline
 			}
-			tokens <- struct{}{}
 			want := min(defaultChunkSize, n-start)
 			if ragged {
 				want = min(want, heldCap, max(1, held.Depth()))
 			}
 			frames := stream.Take(src, want)
 			if len(frames) > 0 {
-				jobs <- &streamChunk{seq: seq, start: start, frames: frames}
+				jobs <- &streamChunk{start: start, frames: frames}
 			}
 			if len(frames) < want {
 				return // source exhausted
@@ -128,86 +106,52 @@ func (e *Engine) RunStream(plan *Plan, src stream.Source, n int) *Result {
 		}
 	}()
 
-	// Stage 2: filter fan-out. Each worker evaluates whole chunks through
-	// the backend's batch path — one clock transaction and, for the
-	// trained backends, one GEMM per layer per chunk — into a per-worker
-	// scratch slice reused across chunks (the EvaluateBatchInto aliasing
-	// rule), so the steady-state filter stage allocates only the verdict
-	// slices that travel with the chunk.
-	filtered := make(chan *streamChunk, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var outs []*filters.Output // per-worker scratch, reused every chunk
-			for c := range jobs {
-				c.pass = make([]bool, len(c.frames))
-				if !filtering {
-					for i := range c.pass {
-						c.pass[i] = true
-					}
-					filtered <- c
-					continue
+	// Stage 2: filter each chunk through the backend's batch path — one
+	// clock transaction and, for the trained backends, one GEMM per layer
+	// per chunk — into a scratch slice reused across chunks (the
+	// EvaluateBatchInto aliasing rule), so the steady-state filter stage
+	// allocates only the verdict slices that travel with the chunk.
+	filtered := make(chan *streamChunk, 1)
+	go func() {
+		defer close(filtered)
+		var outs []*filters.Output
+		for c := range jobs {
+			c.pass = make([]bool, len(c.frames))
+			if !filtering {
+				for i := range c.pass {
+					c.pass[i] = true
 				}
-				func() {
-					defer func() {
-						if p := recover(); p != nil {
-							// A panicking backend poisons this query, not the
-							// process: latch the failure, void the verdicts,
-							// and keep the chunk moving so reassembly never
-							// stalls on a missing sequence number.
-							fail("filter", p)
-							outs = nil
-							for i := range c.pass {
-								c.pass[i] = false
-							}
+				filtered <- c
+				continue
+			}
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						// A panicking backend poisons this query, not the
+						// process: latch the failure and void the verdicts.
+						fail("filter", p)
+						outs = nil
+						for i := range c.pass {
+							c.pass[i] = false
 						}
-					}()
-					if failure.Load() != nil {
-						return // already failed: forward unevaluated
-					}
-					if err := fault.Hit("query.filter"); err != nil {
-						panic(err)
-					}
-					outs = filters.EvaluateBatchInto(e.Backend, c.frames, outs[:0])
-					for i, f := range c.frames {
-						c.pass[i] = plan.Where.EvalFilter(outs[i], f.Bounds, e.Tol)
 					}
 				}()
-				filtered <- c
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(filtered)
-	}()
-
-	// Stage 3: reassemble chunks in stream order. The token bound caps
-	// how many chunks can be waiting here for a straggler, so memory
-	// stays bounded even when one worker runs far behind its peers.
-	ordered := make(chan *streamChunk, workers)
-	go func() {
-		defer close(ordered)
-		pending := make(map[int]*streamChunk, maxInflight)
-		next := 0
-		for c := range filtered {
-			pending[c.seq] = c
-			for {
-				head, ok := pending[next]
-				if !ok {
-					break
+				if failure.Load() != nil {
+					return // already failed: forward unevaluated
 				}
-				delete(pending, next)
-				next++
-				ordered <- head
-				<-tokens
-			}
+				if err := fault.Hit("query.filter"); err != nil {
+					panic(err)
+				}
+				outs = filters.EvaluateBatchInto(e.Backend, c.frames, outs[:0])
+				for i, f := range c.frames {
+					c.pass[i] = plan.Where.EvalFilter(outs[i], f.Bounds, e.Tol)
+				}
+			}()
+			filtered <- c
 		}
 	}()
 
-	// Stage 4: confirm survivors with the detector, in frame order, on
+	// Stage 3: confirm survivors with the detector, in frame order, on
 	// this goroutine — the only stage that may carry order-sensitive
 	// state (e.g. SimYOLO's RNG).
 	var filterCost time.Duration
@@ -215,7 +159,7 @@ func (e *Engine) RunStream(plan *Plan, src stream.Source, n int) *Result {
 		filterCost = e.Backend.Technique().Cost().PerCall
 	}
 	detectCost := e.Detector.Cost().PerCall
-	for c := range ordered {
+	for c := range filtered {
 		if failure.Load() != nil {
 			continue // drain so the pipeline unwinds; nothing more confirms
 		}
@@ -226,23 +170,28 @@ func (e *Engine) RunStream(plan *Plan, src stream.Source, n int) *Result {
 				}
 			}()
 			for i, f := range c.frames {
-				res.FramesTotal++
-				if filtering {
-					res.VirtualTime += filterCost
-				}
 				matched := false
 				if c.pass[i] {
-					res.FilterPassed++
 					if err := fault.Hit("query.detect"); err != nil {
 						panic(err)
 					}
 					dets := e.Detector.Detect(f)
+					matched = plan.Where == nil || plan.Where.EvalExact(dets, f.Bounds)
+				}
+				// Count the frame only once its confirmation returned: after
+				// a detector panic the counters cover exactly the frames
+				// confirmed before it.
+				res.FramesTotal++
+				if filtering {
+					res.VirtualTime += filterCost
+				}
+				if c.pass[i] {
+					res.FilterPassed++
 					res.DetectorCalls++
 					res.VirtualTime += detectCost
-					if plan.Where == nil || plan.Where.EvalExact(dets, f.Bounds) {
-						res.Matched = append(res.Matched, c.start+i)
-						matched = true
-					}
+				}
+				if matched {
+					res.Matched = append(res.Matched, c.start+i)
 				}
 				if e.Observe != nil {
 					e.Observe(FrameObservation{Index: c.start + i, Frame: f, Passed: c.pass[i], Matched: matched})

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"vmq/internal/detect"
 	"vmq/internal/filters"
@@ -86,13 +87,8 @@ func TestRunStreamMatchesSequential(t *testing.T) {
 			// And again, to prove the pipeline is deterministic run-to-run.
 			again := mkEngine().RunStream(plan, &stream.SliceSource{Frames: frames}, n)
 			requireSameResult(t, "RunStream repeat", again, want)
-			// A capped worker pool (as RunMulti uses) changes nothing.
-			capped := mkEngine()
-			capped.Workers = 1
-			requireSameResult(t, "Workers=1",
-				capped.RunStream(plan, &stream.SliceSource{Frames: frames}, n), want)
-			// Nor does frame-at-a-time chunking (an idle served feed,
-			// whose subscription never holds a second frame).
+			// Frame-at-a-time chunking changes nothing (an idle
+			// served feed, whose subscription never holds a second frame).
 			requireSameResult(t, "chunks of one",
 				mkEngine().RunStream(plan, &raggedSource{frames: frames, depths: []int{0}}, n), want)
 		})
@@ -259,6 +255,124 @@ func TestRunStreamRaggedChunks(t *testing.T) {
 	}
 }
 
+// panicBatchBackend panics on its at-th batch call (from 1; 0 never) and
+// records the stream index of that chunk's first frame. Only RunStream's
+// filter goroutine calls it.
+type panicBatchBackend struct {
+	filters.Backend
+	at, calls, faultAt int
+}
+
+func (b *panicBatchBackend) EvaluateBatch(frames []*video.Frame, dst []*filters.Output) []*filters.Output {
+	if b.calls++; b.calls == b.at {
+		b.faultAt = frames[0].Index
+		panic("injected filter panic")
+	}
+	return filters.EvaluateBatchInto(b.Backend, frames, dst)
+}
+
+// panicDetector panics when asked to confirm the frame whose index is at.
+type panicDetector struct {
+	detect.Detector
+	at int
+}
+
+func (d panicDetector) Detect(f *video.Frame) []detect.Detection {
+	if f.Index == d.at {
+		panic("injected detector panic")
+	}
+	return d.Detector.Detect(f)
+}
+
+// A panic in either stage ends RunStream with the stage latched in
+// Failure, the counters covering exactly the frames confirmed (observed)
+// before the fault, and every pipeline goroutine gone: for a backend that
+// panics on its third chunk and a detector that panics on one frame, over
+// whole chunks and one-frame chunks, at one processor and at four.
+func TestRunStreamUnwindsOnPanic(t *testing.T) {
+	p := video.Jackson()
+	plan := MustBind(parse(t, `SELECT FRAMES FROM jackson WHERE COUNT(car) = 1`), p)
+	frames := video.NewStream(p, 61).Take(200)
+	tol := Tolerances{Count: 1}
+	mk := func() *Engine {
+		return &Engine{Backend: filters.NewODFilter(p, 61, nil), Detector: detect.NewOracle(nil), Tol: tol}
+	}
+	// The detector faults on the first frame past the second 32-frame
+	// chunk that the filter lets through.
+	detectAt := -1
+	ref := mk()
+	ref.Observe = func(o FrameObservation) {
+		if detectAt < 0 && o.Index >= 70 && o.Passed {
+			detectAt = o.Index
+		}
+	}
+	ref.RunSequential(plan, frames)
+	if detectAt < 0 {
+		t.Fatal("degenerate case: no frame past 70 passes the filter")
+	}
+	cases := []struct {
+		stage              string
+		filterAt, detectAt int
+	}{
+		{stage: "filter", filterAt: 3, detectAt: -1},
+		{stage: "detect", detectAt: detectAt},
+	}
+	sources := map[string]func() stream.Source{
+		"slice":  func() stream.Source { return &stream.SliceSource{Frames: frames} },
+		"ragged": func() stream.Source { return &raggedSource{frames: frames, depths: []int{1, 3, 0}} },
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, tc := range cases {
+			for name, src := range sources {
+				label := fmt.Sprintf("%s/%s/GOMAXPROCS=%d", tc.stage, name, procs)
+				base := runtime.NumGoroutine()
+				backend := &panicBatchBackend{Backend: filters.NewODFilter(p, 61, nil), at: tc.filterAt}
+				confirmed := 0
+				eng := &Engine{
+					Backend:  backend,
+					Detector: panicDetector{Detector: detect.NewOracle(nil), at: tc.detectAt},
+					Tol:      tol,
+					Observe: func(o FrameObservation) {
+						if o.Index != confirmed {
+							t.Errorf("%s: observation %d carries index %d", label, confirmed, o.Index)
+						}
+						confirmed++
+					},
+				}
+				res := eng.RunStream(plan, src(), len(frames))
+				if res.Failure == nil || res.Failure.Stage != tc.stage {
+					t.Fatalf("%s: failure %+v, want stage %q", label, res.Failure, tc.stage)
+				}
+				// A filter fault may overtake chunks that are filtered but
+				// not yet confirmed; a detector fault stops at its frame.
+				if tc.stage == "filter" && confirmed > backend.faultAt ||
+					tc.stage == "detect" && confirmed != detectAt {
+					t.Fatalf("%s: confirmed %d frames (filter fault at %d, detector fault at %d)",
+						label, confirmed, backend.faultAt, detectAt)
+				}
+				requireSameResult(t, label, res, mk().RunSequential(plan, frames[:confirmed]))
+				settleGoroutines(t, label, base)
+			}
+		}
+	}
+}
+
+// settleGoroutines waits until no more than base goroutines run: an
+// unwound pipeline leaves none of its own behind.
+func settleGoroutines(t *testing.T, label string, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%s: %d goroutines still run, %d before:\n%s",
+				label, runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // A detector whose randomness is call-order sensitive (SimYOLO) still
 // produces sequential-identical results: the confirmation stage always
 // runs in frame order on one goroutine.
@@ -300,7 +414,7 @@ func TestRunStreamShortSource(t *testing.T) {
 
 // The streaming path charges the shared virtual clock exactly like the
 // sequential path: one filter charge per frame, one detector charge per
-// confirmation, regardless of worker fan-out and batching.
+// confirmation, regardless of chunking and batching.
 func TestRunStreamClockAccounting(t *testing.T) {
 	p := video.Jackson()
 	plan := MustBind(parse(t, `SELECT FRAMES FROM jackson WHERE COUNT(car) = 1`), p)

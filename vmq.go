@@ -354,8 +354,9 @@ func (s *Session) Source() Source { return stream.FromStream(s.Stream) }
 
 // RunQuery executes a monitoring query over the next n frames of the
 // session's stream using the filter-then-detect cascade, on the pipelined
-// streaming executor: frames are pulled from the stream, filtered by a
-// worker pool, and confirmed in order — never materialising the clip.
+// streaming executor: frames are pulled from the stream in chunks,
+// filtered on one goroutine, and confirmed in order on the caller's —
+// never materialising the clip.
 // An aggregate query is rejected with ErrInvalidQuery (see RunWindows).
 func (s *Session) RunQuery(q *Query, n int) (*Result, error) {
 	return s.RunQueryOn(q, s.Source(), n)
@@ -372,6 +373,17 @@ func (s *Session) RunQueryOn(q *Query, src Source, n int) (*Result, error) {
 	return c.Monitor(src, n, nil)
 }
 
+// Explain renders the execution plan RunQuery would run q with: the
+// predicate tree with the filter serving each leaf, the tolerances and the
+// cascade's cost model. It refuses what RunQuery refuses.
+func (s *Session) Explain(q *Query) (string, error) {
+	c, err := s.compile(q, s.Backend, 0)
+	if err != nil {
+		return "", err
+	}
+	return c.Explain()
+}
+
 // RunQueryBrute executes the brute-force baseline (detector on every
 // frame) for comparison.
 func (s *Session) RunQueryBrute(q *Query, n int) (*Result, error) {
@@ -386,6 +398,11 @@ func (s *Session) RunQueryBrute(q *Query, n int) (*Result, error) {
 // control variates over the next window of frames. The window size is
 // taken from the query's WINDOW clause, or windowSize when absent. The
 // detector samples sampleSize frames (200 when sampleSize <= 0).
+//
+// A HOPPING call also consumes the frames between its window and the
+// next one, so consecutive calls read the windows RunWindows reads.
+// A SLIDING call takes Size frames: consecutive calls tile the stream
+// instead of overlapping. A monitor is rejected before it takes a frame.
 func (s *Session) RunAggregate(q *Query, windowSize, sampleSize int) (*AggregateResult, error) {
 	if q.Window == nil && windowSize > 0 {
 		one := *q
@@ -396,13 +413,7 @@ func (s *Session) RunAggregate(q *Query, windowSize, sampleSize int) (*Aggregate
 	if err != nil {
 		return nil, err
 	}
-	// The clip holds one window, so the stream moves on by its size
-	// alone; a monitor, which RunWindows rejects, takes no frame.
-	var clip []*Frame
-	if c.Windowed() {
-		clip = s.Stream.Take(q.Window.Size)
-	}
-	wins, err := c.RunWindows(SliceSource(clip), 1)
+	wins, err := c.RunWindows(s.Source(), 1)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package vmq_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -90,6 +91,40 @@ func TestSessionAggregateNeedsWindow(t *testing.T) {
 	}
 	if f := sess.Stream.Next(); f.Index != 800 {
 		t.Fatalf("next frame after the rejected monitor is %d, want 800", f.Index)
+	}
+}
+
+// Consecutive RunAggregate calls stay on the ADVANCE grid: with windows of
+// 100 frames every 150, two calls estimate the windows at 0 and 150 that
+// RunWindows estimates, and leave the stream at the third window's start.
+func TestSessionAggregateHonoursAdvance(t *testing.T) {
+	q, err := vmq.ParseQuery(`SELECT COUNT(FRAMES) FROM jackson WHERE COUNT(car) >= 1
+		WINDOW HOPPING (SIZE 100, ADVANCE BY 150)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := vmq.NewSession(vmq.Jackson(), 1).RunWindows(q, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := vmq.NewSession(vmq.Jackson(), 1)
+	for i, wantMean := range []float64{0.72, 0.70} {
+		got, err := sess.RunAggregate(q, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.TruePerFrameMean != wantMean || got.TruePerFrameMean != want[i].TruePerFrameMean {
+			t.Fatalf("call %d: true mean %v, want %v (RunWindows: %v)", i, got.TruePerFrameMean, wantMean, want[i].TruePerFrameMean)
+		}
+		// Every frame of the window is sampled, so only the summation
+		// order of the samples may differ from RunWindows'.
+		if got.WindowSize != want[i].WindowSize || got.Samples != want[i].Samples ||
+			math.Abs(got.CV.Estimate-want[i].CV.Estimate) > 1e-12 {
+			t.Fatalf("call %d: %+v, RunWindows window %d: %+v", i, got, i, want[i])
+		}
+	}
+	if f := sess.Stream.Next(); f.Index != 300 {
+		t.Fatalf("next frame after two calls is %d, want 300", f.Index)
 	}
 }
 
