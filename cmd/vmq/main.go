@@ -338,11 +338,13 @@ func cmdTrain(args []string, out, errw io.Writer) error {
 	if *tech == "od" {
 		family = filters.OD
 	}
+	cfg := filters.TrainedConfig{Frames: *frames, Epochs: *epochs, Img: *img, Channels: 16, Seed: 1}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	fmt.Fprintf(out, "training %s filter on %s (%d frames, %d epochs, %dx%d px)...\n",
 		family, p.Name, *frames, *epochs, *img, *img)
-	backend := filters.TrainFilter(family, p, filters.TrainedConfig{
-		Frames: *frames, Epochs: *epochs, Img: *img, Channels: 16, Seed: 1,
-	}, simclock.New())
+	backend := filters.TrainFilter(family, p, cfg, simclock.New())
 
 	s := video.NewStream(p, 999)
 	var total metrics.CountAccuracy

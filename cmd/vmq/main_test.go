@@ -75,6 +75,15 @@ func TestQueryMissingFlag(t *testing.T) {
 	}
 }
 
+// An -img whose location grid would pass grid.MaxG columns is refused
+// before any training starts.
+func TestTrainRejectsOversizedImage(t *testing.T) {
+	code, stdout, stderr := runCmd("train", "-img", "300")
+	if code != 1 || !strings.Contains(stderr, "Img 300") || strings.Contains(stdout, "training") {
+		t.Fatalf("code=%d stdout=%q stderr=%q", code, stdout, stderr)
+	}
+}
+
 // The query happy path on a small synthetic stream reports the cascade
 // counters.
 func TestQueryHappyPath(t *testing.T) {

@@ -81,13 +81,14 @@ type Output struct {
 	Maps [video.NumClasses]*grid.Binary
 }
 
-// Map returns the location map for class c, or an empty map of the given
-// grid size when the class was not modelled.
+// Map returns the location map for class c, or the shared empty map of
+// the given grid size (grid.EmptyBinary) when the class was not modelled.
+// Like the Output it comes from, the map must not be modified.
 func (o *Output) Map(c video.Class, g int) *grid.Binary {
 	if m := o.Maps[c]; m != nil {
 		return m
 	}
-	return grid.NewBinary(g)
+	return grid.EmptyBinary(g)
 }
 
 // Backend produces filter outputs for frames.

@@ -3,6 +3,7 @@ package filters
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"vmq/internal/grid"
@@ -37,12 +38,8 @@ func TestCalibratedDeterministicPerFrame(t *testing.T) {
 		if (m1 == nil) != (m2 == nil) {
 			t.Fatal("Maps presence differs")
 		}
-		if m1 != nil {
-			for i := range m1.Cells {
-				if m1.Cells[i] != m2.Cells[i] {
-					t.Fatal("Maps not deterministic per frame")
-				}
-			}
+		if m1 != nil && !reflect.DeepEqual(m1, m2) {
+			t.Fatal("Maps not deterministic per frame")
 		}
 	}
 }
@@ -316,12 +313,8 @@ func TestTrainedSaveLoadRoundTrip(t *testing.T) {
 		if (after.Maps[c] == nil) != (want.Maps[c] == nil) {
 			t.Fatal("restored maps presence differs")
 		}
-		if after.Maps[c] != nil {
-			for i := range after.Maps[c].Cells {
-				if after.Maps[c].Cells[i] != want.Maps[c].Cells[i] {
-					t.Fatal("restored maps differ")
-				}
-			}
+		if after.Maps[c] != nil && !reflect.DeepEqual(after.Maps[c], want.Maps[c]) {
+			t.Fatal("restored maps differ")
 		}
 	}
 	// Architecture mismatch is rejected before mutating anything.
@@ -380,5 +373,35 @@ func TestTrainedFilterLearns(t *testing.T) {
 	}
 	if clk.Calls("ic-filter") != 120 {
 		t.Fatalf("clock calls = %d", clk.Calls("ic-filter"))
+	}
+}
+
+// The location grid is Img/4 cells a side and a grid.Binary holds at most
+// 64 columns: Img above 256 is refused by Validate, and the constructors
+// panic on it before they train or build a network.
+func TestTrainedConfigRefusesGridOverMaxG(t *testing.T) {
+	for _, img := range []int{0, 4, 48, 256} {
+		if err := (TrainedConfig{Img: img}).Validate(); err != nil {
+			t.Errorf("Img %d: %v", img, err)
+		}
+	}
+	for _, img := range []int{-4, 2, 257, 300, 448} {
+		if err := (TrainedConfig{Img: img}).Validate(); err == nil {
+			t.Errorf("Img %d accepted", img)
+		}
+	}
+	p := video.Jackson()
+	for name, build := range map[string]func(){
+		"TrainFilter":  func() { TrainFilter(OD, p, TrainedConfig{Img: 300}, nil) },
+		"NewUntrained": func() { NewUntrained(OD, p, TrainedConfig{Img: 300}, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s built a network at Img 300", name)
+				}
+			}()
+			build()
+		}()
 	}
 }

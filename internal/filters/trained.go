@@ -1,6 +1,7 @@
 package filters
 
 import (
+	"fmt"
 	"io"
 	"math/rand/v2"
 	"runtime"
@@ -64,6 +65,27 @@ type TrainedConfig struct {
 	Seed uint64
 }
 
+// Validate reports a configuration whose location maps cannot be built:
+// the grid is Img/4 cells a side and a grid.Binary holds at most
+// grid.MaxG columns, so Img must be 0 (the default) or 4..4·grid.MaxG
+// (256). TrainFilter and NewUntrained panic on such a configuration
+// before they build anything; TrainCOF builds no maps and does not check.
+func (c TrainedConfig) Validate() error {
+	if c.Img != 0 && (c.Img < 4 || c.Img > 4*grid.MaxG) {
+		return fmt.Errorf("filters: Img %d gives a %d-cell location grid; Img must be 4..%d", c.Img, c.Img/4, 4*grid.MaxG)
+	}
+	return nil
+}
+
+// mustValidate panics on a configuration Validate refuses, then applies
+// the defaults.
+func (c *TrainedConfig) mustValidate() {
+	if err := c.Validate(); err != nil {
+		panic(err)
+	}
+	c.defaults()
+}
+
 func (c *TrainedConfig) defaults() {
 	if c.Img == 0 {
 		c.Img = 48
@@ -89,7 +111,7 @@ func (c *TrainedConfig) defaults() {
 // first optimizes counts only (β = 0) before enabling the localization
 // term with (α, β) = (1, 10) and decaying β.
 func TrainFilter(tech Technique, profile video.Profile, cfg TrainedConfig, clock *simclock.Clock) *Trained {
-	cfg.defaults()
+	cfg.mustValidate()
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x6c62272e07bb0142))
 	classes := make([]video.Class, 0, len(profile.Classes))
 	for _, cm := range profile.Classes {
@@ -122,9 +144,11 @@ func TrainFilter(tech Technique, profile video.Profile, cfg TrainedConfig, clock
 				classSeen[ci]++
 			}
 			bm := grid.FromBoxes(boxesOf(f, cls), f.Bounds, g, 0)
-			for k, on := range bm.Cells {
-				if on {
-					ml.Data[ci*g*g+k] = 1
+			for r := 0; r < g; r++ {
+				for c := 0; c < g; c++ {
+					if bm.At(r, c) {
+						ml.Data[(ci*g+r)*g+c] = 1
+					}
 				}
 			}
 		}
@@ -271,7 +295,7 @@ func (t *TrainedCOF) forward(ar *nn.Arena, batch *tensor.Tensor, out []*Output) 
 // into. The configuration must match the one the saved model was trained
 // with.
 func NewUntrained(tech Technique, profile video.Profile, cfg TrainedConfig, clock *simclock.Clock) *Trained {
-	cfg.defaults()
+	cfg.mustValidate()
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x6c62272e07bb0142))
 	classes := make([]video.Class, 0, len(profile.Classes))
 	for _, cm := range profile.Classes {

@@ -10,8 +10,8 @@ import (
 func randBinary(seed uint64, g int, density float64) *Binary {
 	rng := rand.New(rand.NewPCG(seed, 1))
 	b := NewBinary(g)
-	for i := range b.Cells {
-		b.Cells[i] = rng.Float64() < density
+	for k := 0; k < g*g; k++ {
+		b.Set(rng.Float64() < density, k/g, k%g)
 	}
 	return b
 }
@@ -29,9 +29,10 @@ func BenchmarkMatch(b *testing.B) {
 
 func BenchmarkDilate(b *testing.B) {
 	m := randBinary(3, 56, 0.01)
+	dst := NewBinary(56)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Dilate(2)
+		m.Dilate(dst, 2)
 	}
 }
 

@@ -5,13 +5,21 @@
 // produced by down-scaling the locations of the Mask R-CNN bounding boxes
 // in the image to size 56×56"), and the Manhattan-distance-tolerant
 // matching used to score CLF-1 and CLF-2 variants.
+//
+// A binary map stores one uint64 word per row (bit j is column j), so
+// g is at most MaxG and every map operation is a handful of word
+// operations per row.
 package grid
 
 import (
 	"fmt"
+	"math/bits"
 
 	"vmq/internal/geom"
 )
+
+// MaxG is the largest grid size a Binary holds: one 64-bit word per row.
+const MaxG = 64
 
 // Map is a real-valued g×g activation map (row-major).
 type Map struct {
@@ -37,90 +45,148 @@ func (m *Map) Set(v float32, i, j int) { m.Cells[i*m.G+j] = v }
 // iff m(i,j) >= t. The paper uses t = 0.2 for OD filters.
 func (m *Map) Threshold(t float32) *Binary {
 	b := NewBinary(m.G)
-	for i, v := range m.Cells {
-		if v >= t {
-			b.Cells[i] = true
+	for i := range b.rows {
+		var w uint64
+		for j, v := range m.Cells[i*m.G : (i+1)*m.G] {
+			if v >= t {
+				w |= 1 << j
+			}
 		}
+		b.rows[i] = w
 	}
 	return b
 }
 
-// Binary is a boolean g×g occupancy map.
+// Binary is a boolean g×g occupancy map, g ≤ MaxG, stored as one word
+// per row: cell (i, j) is bit j of row i.
 type Binary struct {
-	G     int
-	Cells []bool
+	G    int
+	rows []uint64
 }
 
-// NewBinary allocates an empty g×g binary map.
+// NewBinary allocates an empty g×g binary map. It panics unless
+// 0 < g ≤ MaxG.
 func NewBinary(g int) *Binary {
-	if g <= 0 {
-		panic(fmt.Sprintf("grid: non-positive size %d", g))
+	checkSize(g)
+	return &Binary{G: g, rows: make([]uint64, g)}
+}
+
+func checkSize(g int) {
+	if g <= 0 || g > MaxG {
+		panic(fmt.Sprintf("grid: size %d outside 1..%d", g, MaxG))
 	}
-	return &Binary{G: g, Cells: make([]bool, g*g)}
+}
+
+var (
+	zeroRows [MaxG]uint64
+	empties  = func() (e [MaxG + 1]Binary) {
+		for g := 1; g <= MaxG; g++ {
+			e[g] = Binary{G: g, rows: zeroRows[:g:g]}
+		}
+		return e
+	}()
+)
+
+// EmptyBinary returns a shared empty g×g map without allocating. It is
+// read-only: callers must not Set cells in it.
+func EmptyBinary(g int) *Binary {
+	checkSize(g)
+	return &empties[g]
 }
 
 // At reports occupancy at row i, column j.
-func (b *Binary) At(i, j int) bool { return b.Cells[i*b.G+j] }
+func (b *Binary) At(i, j int) bool { return b.rows[i]>>uint(j)&1 != 0 }
 
 // Set stores occupancy at row i, column j.
-func (b *Binary) Set(v bool, i, j int) { b.Cells[i*b.G+j] = v }
+func (b *Binary) Set(v bool, i, j int) {
+	if uint(j) >= uint(b.G) {
+		panic(fmt.Sprintf("grid: column %d outside a %d-wide map", j, b.G))
+	}
+	if v {
+		b.rows[i] |= 1 << uint(j)
+	} else {
+		b.rows[i] &^= 1 << uint(j)
+	}
+}
 
 // CountOn returns the number of occupied cells.
 func (b *Binary) CountOn() int {
 	n := 0
-	for _, v := range b.Cells {
-		if v {
-			n++
-		}
+	for _, w := range b.rows {
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
 
-// OnCells returns the (row, col) coordinates of occupied cells in
-// row-major order.
-func (b *Binary) OnCells() [][2]int {
-	var out [][2]int
-	for i := 0; i < b.G; i++ {
-		for j := 0; j < b.G; j++ {
-			if b.At(i, j) {
-				out = append(out, [2]int{i, j})
-			}
+// Empty reports whether no cell is occupied.
+func (b *Binary) Empty() bool {
+	for _, w := range b.rows {
+		if w != 0 {
+			return false
 		}
 	}
-	return out
+	return true
 }
 
-// Clone returns a deep copy.
-func (b *Binary) Clone() *Binary {
-	c := NewBinary(b.G)
-	copy(c.Cells, b.Cells)
-	return c
+// Extent returns the smallest and largest occupied row and column; ok is
+// false for an empty map.
+func (b *Binary) Extent() (minRow, maxRow, minCol, maxCol int, ok bool) {
+	var cols uint64
+	minRow = -1
+	for i, w := range b.rows {
+		if w == 0 {
+			continue
+		}
+		if minRow < 0 {
+			minRow = i
+		}
+		maxRow = i
+		cols |= w
+	}
+	if minRow < 0 {
+		return 0, 0, 0, 0, false
+	}
+	return minRow, maxRow, bits.TrailingZeros64(cols), bits.Len64(cols) - 1, true
 }
 
-// Dilate returns b grown by Manhattan radius r: a cell is occupied in the
-// result iff some occupied cell of b lies within L1 distance r.
-func (b *Binary) Dilate(r int) *Binary {
+// DilatedRow returns row i of b grown by Manhattan radius r (r ≤ 0 is no
+// growth): a cell is set iff some occupied cell of b lies within L1
+// distance r of it. It reads rows i−r..i+r and builds no map.
+func (b *Binary) DilatedRow(i, r int) uint64 {
 	if r <= 0 {
-		return b.Clone()
+		return b.rows[i]
 	}
-	out := NewBinary(b.G)
-	for i := 0; i < b.G; i++ {
-		for j := 0; j < b.G; j++ {
-			if !b.At(i, j) {
-				continue
-			}
-			for di := -r; di <= r; di++ {
-				rem := r - abs(di)
-				for dj := -rem; dj <= rem; dj++ {
-					ni, nj := i+di, j+dj
-					if ni >= 0 && ni < b.G && nj >= 0 && nj < b.G {
-						out.Set(true, ni, nj)
-					}
-				}
-			}
-		}
+	var w uint64
+	for k := max(i-r, 0); k <= min(i+r, b.G-1); k++ {
+		w |= spread(b.rows[k], r-abs(i-k))
+	}
+	return w & (^uint64(0) >> uint(MaxG-b.G))
+}
+
+// spread grows every set bit of w by up to k columns either way; the
+// caller masks off columns past the grid.
+func spread(w uint64, k int) uint64 {
+	out := w
+	for s := 1; s <= k && s < MaxG; s++ {
+		out |= w<<uint(s) | w>>uint(s)
 	}
 	return out
+}
+
+// Dilate writes b grown by Manhattan radius r into dst and returns dst: a
+// cell is occupied in the result iff some occupied cell of b lies within
+// L1 distance r. dst must have b's size and may be b itself; it is
+// typically a scratch map the caller keeps.
+func (b *Binary) Dilate(dst *Binary, r int) *Binary {
+	if dst.G != b.G {
+		panic("grid: Dilate size mismatch")
+	}
+	var tmp [MaxG]uint64
+	for i := range b.rows {
+		tmp[i] = b.DilatedRow(i, r)
+	}
+	copy(dst.rows, tmp[:b.G])
+	return dst
 }
 
 func abs(x int) int {
@@ -143,7 +209,8 @@ func CellRect(bounds geom.Rect, g, i, j int) geom.Rect {
 	}
 }
 
-// CellCenter returns the frame-coordinate centre of grid cell (i, j).
+// CellCenter returns the frame-coordinate centre of grid cell (i, j). Its
+// X depends on j alone and its Y on i alone.
 func CellCenter(bounds geom.Rect, g, i, j int) geom.Point {
 	return CellRect(bounds, g, i, j).Center()
 }
@@ -183,11 +250,13 @@ func FromBoxes(boxes []geom.Rect, bounds geom.Rect, g int, minCover float64) *Bi
 		i0, j0 := CellOf(bounds, g, geom.Point{X: box.X0, Y: box.Y0})
 		i1, j1 := CellOf(bounds, g, geom.Point{X: box.X1 - 1e-9, Y: box.Y1 - 1e-9})
 		for i := i0; i <= i1; i++ {
-			for j := j0; j <= j1; j++ {
-				if minCover <= 0 {
-					b.Set(true, i, j)
-					continue
+			if minCover <= 0 {
+				if j1 >= j0 {
+					b.rows[i] |= (^uint64(0) >> uint(MaxG-1-(j1-j0))) << uint(j0)
 				}
+				continue
+			}
+			for j := j0; j <= j1; j++ {
 				cover := CellRect(bounds, g, i, j).Intersect(box).Area() / cellArea
 				if cover >= minCover {
 					b.Set(true, i, j)
@@ -224,21 +293,11 @@ func Match(pred, truth *Binary, r int) (tp, fp, fn int) {
 	if pred.G != truth.G {
 		panic("grid: Match size mismatch")
 	}
-	truthD := truth.Dilate(r)
-	predD := pred.Dilate(r)
-	for i := range pred.Cells {
-		if pred.Cells[i] {
-			if truthD.Cells[i] {
-				tp++
-			} else {
-				fp++
-			}
-		}
-	}
-	for i := range truth.Cells {
-		if truth.Cells[i] && !predD.Cells[i] {
-			fn++
-		}
+	for i, p := range pred.rows {
+		near := truth.DilatedRow(i, r)
+		tp += bits.OnesCount64(p & near)
+		fp += bits.OnesCount64(p &^ near)
+		fn += bits.OnesCount64(truth.rows[i] &^ pred.DilatedRow(i, r))
 	}
 	return tp, fp, fn
 }

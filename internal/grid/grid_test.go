@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"vmq/internal/geom"
@@ -15,7 +16,7 @@ func TestMapThreshold(t *testing.T) {
 	m.Set(0.1, 3, 3)
 	b := m.Threshold(0.2)
 	if !b.At(1, 2) || b.At(3, 3) || b.At(0, 0) {
-		t.Fatalf("Threshold wrong: %v", b.Cells)
+		t.Fatalf("Threshold wrong: %v", b.rows)
 	}
 	if b.CountOn() != 1 {
 		t.Fatalf("CountOn = %d", b.CountOn())
@@ -82,26 +83,27 @@ func TestFromCenters(t *testing.T) {
 func TestDilate(t *testing.T) {
 	b := NewBinary(7)
 	b.Set(true, 3, 3)
-	d1 := b.Dilate(1)
+	d1 := b.Dilate(NewBinary(7), 1)
 	if d1.CountOn() != 5 {
 		t.Fatalf("Dilate(1) = %d cells, want 5 (diamond)", d1.CountOn())
 	}
-	d2 := b.Dilate(2)
+	d2 := b.Dilate(NewBinary(7), 2)
 	if d2.CountOn() != 13 {
 		t.Fatalf("Dilate(2) = %d cells, want 13", d2.CountOn())
 	}
 	// Dilating by 0 is identity.
-	d0 := b.Dilate(0)
-	for i := range b.Cells {
-		if d0.Cells[i] != b.Cells[i] {
-			t.Fatal("Dilate(0) not identity")
-		}
+	if d0 := b.Dilate(NewBinary(7), 0); !reflect.DeepEqual(d0, b) {
+		t.Fatal("Dilate(0) not identity")
+	}
+	// Dilating in place reads every source row before writing.
+	if b.Dilate(b, 2); !reflect.DeepEqual(b, d2) {
+		t.Fatal("in-place Dilate differs")
 	}
 	// Border clipping.
 	e := NewBinary(3)
 	e.Set(true, 0, 0)
-	if e.Dilate(1).CountOn() != 3 {
-		t.Fatalf("border Dilate = %d, want 3", e.Dilate(1).CountOn())
+	if n := e.Dilate(NewBinary(3), 1).CountOn(); n != 3 {
+		t.Fatalf("border Dilate = %d, want 3", n)
 	}
 }
 
@@ -144,9 +146,9 @@ func TestMatchMonotoneInRadius(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		g := 6 + rng.IntN(8)
 		pred, truth := NewBinary(g), NewBinary(g)
-		for i := range pred.Cells {
-			pred.Cells[i] = rng.Float64() < 0.1
-			truth.Cells[i] = rng.Float64() < 0.1
+		for k := 0; k < g*g; k++ {
+			pred.Set(rng.Float64() < 0.1, k/g, k%g)
+			truth.Set(rng.Float64() < 0.1, k/g, k%g)
 		}
 		prevTP, prevFP, prevFN := Match(pred, truth, 0)
 		for r := 1; r <= 3; r++ {
@@ -166,9 +168,9 @@ func TestMatchConservation(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		g := 5 + rng.IntN(10)
 		pred, truth := NewBinary(g), NewBinary(g)
-		for i := range pred.Cells {
-			pred.Cells[i] = rng.Float64() < 0.15
-			truth.Cells[i] = rng.Float64() < 0.15
+		for k := 0; k < g*g; k++ {
+			pred.Set(rng.Float64() < 0.15, k/g, k%g)
+			truth.Set(rng.Float64() < 0.15, k/g, k%g)
 		}
 		r := rng.IntN(3)
 		tp, fp, fn := Match(pred, truth, r)
@@ -181,16 +183,6 @@ func TestMatchConservation(t *testing.T) {
 	}
 }
 
-func TestOnCellsOrder(t *testing.T) {
-	b := NewBinary(4)
-	b.Set(true, 2, 1)
-	b.Set(true, 0, 3)
-	cells := b.OnCells()
-	if len(cells) != 2 || cells[0] != [2]int{0, 3} || cells[1] != [2]int{2, 1} {
-		t.Fatalf("OnCells = %v", cells)
-	}
-}
-
 func TestPanicOnBadSize(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -198,6 +190,24 @@ func TestPanicOnBadSize(t *testing.T) {
 		}
 	}()
 	NewMap(0)
+}
+
+// A Binary stores one 64-bit word per row, so NewBinary refuses any size
+// outside 1..MaxG rather than build a map it cannot hold.
+func TestNewBinaryRefusesSizeOverMaxG(t *testing.T) {
+	for _, g := range []int{0, -1, MaxG + 1, 448} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewBinary(%d) did not panic", g)
+				}
+			}()
+			NewBinary(g)
+		}()
+	}
+	if b := NewBinary(MaxG); b.G != MaxG || !b.Empty() {
+		t.Fatal("NewBinary(MaxG) is not an empty 64×64 map")
+	}
 }
 
 func TestMatchSizeMismatchPanics(t *testing.T) {

@@ -30,9 +30,11 @@ type Deps struct {
 	// Tol selects a monitor's filter variants.
 	Tol Tolerances
 	// SampleSize is an aggregate's detector samples per window (default
-	// 200); SamplerSeed seeds the sampler that picks them.
-	SampleSize  int
-	SamplerSeed uint64
+	// 200); Sampler picks them (nil: stream.NewUniformSampler(1)). The
+	// caller owns the sampler's state: a caller that runs one sample
+	// stream across compilations passes the same sampler each time.
+	SampleSize int
+	Sampler    stream.Sampler
 }
 
 // Compiled is a query with every execution decision made. A monitor
@@ -66,7 +68,7 @@ func Compile(q *vql.Query, profile video.Profile, deps Deps) (*Compiled, error) 
 		if n <= 0 {
 			n = 200
 		}
-		c.agg = &AggregateConfig{SampleSize: n, Sampler: stream.NewUniformSampler(deps.SamplerSeed), MuFromFullWindow: true}
+		c.agg = &AggregateConfig{SampleSize: n, Sampler: deps.Sampler, MuFromFullWindow: true}
 	} else if w := q.Window; w != nil && w.Advance < w.Size {
 		return nil, fmt.Errorf("%w: SELECT FRAMES does not take a sliding window", ErrInvalidQuery)
 	}

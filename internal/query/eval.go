@@ -196,17 +196,13 @@ func (b *boundSpatial) EvalFilter(out *filters.Output, bounds geom.Rect, tol Tol
 	// contradictory evidence and must not prune (Section II applies
 	// "multiple filters ... on a single frame"; combining their outputs is
 	// what keeps false negatives rare).
-	if ma.CountOn() == 0 && math.Round(out.Counts[b.aClass]) >= 1 {
+	if ma.Empty() && math.Round(out.Counts[b.aClass]) >= 1 {
 		return true
 	}
-	if mb.CountOn() == 0 && math.Round(out.Counts[b.bClass]) >= 1 {
+	if mb.Empty() && math.Round(out.Counts[b.bClass]) >= 1 {
 		return true
 	}
-	if tol.Location > 0 {
-		ma = ma.Dilate(tol.Location)
-		mb = mb.Dilate(tol.Location)
-	}
-	return spatial.HoldsOnGrid(b.rel, ma, mb)
+	return spatial.HoldsOnGrid(b.rel, ma, mb, tol.Location)
 }
 
 type boundRegionPred struct {
@@ -246,14 +242,10 @@ func (b *boundRegionPred) EvalFilter(out *filters.Output, bounds geom.Rect, tol 
 	// As in the spatial case, an empty map contradicted by a positive
 	// count estimate means the objects went unlocalised: defer to the
 	// confirmation detector.
-	if m.CountOn() == 0 && math.Round(out.Counts[b.class]) >= 1 {
+	if m.Empty() && math.Round(out.Counts[b.class]) >= 1 {
 		return true
 	}
-	if tol.Location > 0 {
-		m = m.Dilate(tol.Location)
-	}
-	region := b.region.Resolve(bounds)
-	n := spatial.CountInRegionGrid(m, bounds, region)
+	n := spatial.CountInRegionGrid(m, bounds, b.region.Resolve(bounds), tol.Location)
 	if tol.Location > 0 {
 		// Dilation inflates per-object cell counts, so only existence-style
 		// lower bounds remain meaningful; everything else defers.
@@ -307,5 +299,5 @@ func (a *BoundAgg) FilterRegionCount(out *filters.Output, bounds geom.Rect) floa
 	}
 	g := gridSize(out)
 	m := out.Map(a.Class, g)
-	return float64(spatial.CountInRegionGrid(m, bounds, a.Region.Resolve(bounds)))
+	return float64(spatial.CountInRegionGrid(m, bounds, a.Region.Resolve(bounds), 0))
 }

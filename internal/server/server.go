@@ -32,6 +32,7 @@ import (
 
 	"vmq/internal/query"
 	"vmq/internal/rlog"
+	"vmq/internal/stream"
 	"vmq/internal/vql"
 )
 
@@ -440,7 +441,7 @@ func (s *Server) register(q *vql.Query, opt Options, pin *recoveredQuery) (*Regi
 	entry := f.sharedFor(opt.Backend)
 	c, err := query.Compile(q, f.profile, query.Deps{
 		Backend: entry.sh, NewDetector: f.newDet, Seed: seed, Tol: tol,
-		SampleSize: opt.SampleSize, SamplerSeed: seed,
+		SampleSize: opt.SampleSize, Sampler: stream.NewUniformSampler(seed),
 	})
 	if err != nil {
 		f.release(entry)

@@ -12,6 +12,7 @@ package spatial
 
 import (
 	"fmt"
+	"math/bits"
 
 	"vmq/internal/geom"
 	"vmq/internal/grid"
@@ -125,78 +126,74 @@ func CountInRegion(boxes []geom.Rect, region geom.Rect) int {
 }
 
 // HoldsOnGrid reports whether some occupied cell of a stands in relation r
-// to some occupied cell of b, using cell centres — the CLF-filter
-// evaluation of spatial constraints ("spatial constraints between objects
-// can be evaluated in a straightforward manner manipulating the
-// thresholded activation maps").
-func HoldsOnGrid(r Relation, a, b *grid.Binary) bool {
+// to some occupied cell of b, using cell centres, after both maps are
+// dilated by Manhattan radius radius (0 is the exact maps; the CLF-1 and
+// CLF-2 variants pass 1 and 2) — the CLF-filter evaluation of spatial
+// constraints ("spatial constraints between objects can be evaluated in a
+// straightforward manner manipulating the thresholded activation maps").
+//
+// Over existing pairs the relation reduces to the maps' extremes: LeftOf
+// holds iff a's smallest occupied column is left of b's largest, and so
+// on. Dilation moves each extreme of a non-empty map by exactly radius,
+// clamped to [0, g−1] (a cell radius columns beyond the extreme cell, or
+// the border cell of its row, is within the radius; no cell further out
+// is), and leaves an empty map empty. So the dilated extremes come from
+// the row words of the undilated maps, and no dilated map is built.
+func HoldsOnGrid(r Relation, a, b *grid.Binary, radius int) bool {
 	if a.G != b.G {
 		panic("spatial: grid size mismatch")
 	}
-	// Reduce to extreme coordinates: LeftOf holds iff min col of a < max
-	// col of b, etc. This is O(g²) instead of O(cells² ) pairs.
-	aMinC, aMaxC, aMinR, aMaxR, aAny := extremes(a)
-	bMinC, bMaxC, bMinR, bMaxR, bAny := extremes(b)
+	aMinR, aMaxR, aMinC, aMaxC, aAny := a.Extent()
+	bMinR, bMaxR, bMinC, bMaxC, bAny := b.Extent()
 	if !aAny || !bAny {
 		return false
 	}
+	radius = max(radius, 0)
+	lo := func(v int) int { return max(v-radius, 0) }
+	hi := func(v int) int { return min(v+radius, a.G-1) }
 	switch r {
 	case LeftOf:
-		return aMinC < bMaxC
+		return lo(aMinC) < hi(bMaxC)
 	case RightOf:
-		return aMaxC > bMinC
+		return hi(aMaxC) > lo(bMinC)
 	case Above:
-		return aMinR < bMaxR
+		return lo(aMinR) < hi(bMaxR)
 	case Below:
-		return aMaxR > bMinR
+		return hi(aMaxR) > lo(bMinR)
 	default:
 		return false
 	}
 }
 
-func extremes(b *grid.Binary) (minC, maxC, minR, maxR int, any bool) {
-	minC, minR = b.G, b.G
-	maxC, maxR = -1, -1
-	for i := 0; i < b.G; i++ {
-		for j := 0; j < b.G; j++ {
-			if !b.At(i, j) {
-				continue
-			}
-			any = true
-			if j < minC {
-				minC = j
-			}
-			if j > maxC {
-				maxC = j
-			}
-			if i < minR {
-				minR = i
-			}
-			if i > maxR {
-				maxR = i
-			}
+// CountInRegionGrid returns the number of cells of b, dilated by
+// Manhattan radius radius (0 is b itself), whose centres lie inside
+// region, for a grid over the given frame bounds.
+//
+// A cell centre's X depends only on its column and its Y only on its row
+// (grid.CellCenter), and Rect.Contains is an X test and a Y test. So the
+// region's cells are the columns of one mask crossed with the rows of
+// another; each mask tests its cell centres with Contains, holding the
+// other coordinate at the region's corner, and the count is one AND and
+// popcount per region row.
+func CountInRegionGrid(b *grid.Binary, bounds, region geom.Rect, radius int) int {
+	var cols uint64
+	for j := 0; j < b.G; j++ {
+		c := grid.CellCenter(bounds, b.G, 0, j)
+		if region.Contains(geom.Point{X: c.X, Y: region.Y0}) {
+			cols |= 1 << uint(j)
 		}
 	}
-	return minC, maxC, minR, maxR, any
-}
-
-// CountInRegionGrid returns the number of occupied cells whose centres lie
-// inside region, for a grid over the given frame bounds.
-func CountInRegionGrid(b *grid.Binary, bounds, region geom.Rect) int {
+	if cols == 0 {
+		return 0
+	}
 	n := 0
 	for i := 0; i < b.G; i++ {
-		for j := 0; j < b.G; j++ {
-			if b.At(i, j) && region.Contains(grid.CellCenter(bounds, b.G, i, j)) {
-				n++
-			}
+		c := grid.CellCenter(bounds, b.G, i, 0)
+		if region.Contains(geom.Point{X: region.X0, Y: c.Y}) {
+			n += bits.OnesCount64(b.DilatedRow(i, radius) & cols)
 		}
 	}
 	return n
-}
-
-// AnyInRegionGrid reports whether any occupied cell centre falls in region.
-func AnyInRegionGrid(b *grid.Binary, bounds, region geom.Rect) bool {
-	return CountInRegionGrid(b, bounds, region) > 0
 }
 
 // Topology is an MBR topological relation in the categorisation of

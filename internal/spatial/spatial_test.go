@@ -106,19 +106,19 @@ func gridWith(g int, cells ...[2]int) *grid.Binary {
 func TestHoldsOnGrid(t *testing.T) {
 	a := gridWith(8, [2]int{4, 1}) // col 1
 	b := gridWith(8, [2]int{4, 6}) // col 6
-	if !HoldsOnGrid(LeftOf, a, b) {
+	if !HoldsOnGrid(LeftOf, a, b, 0) {
 		t.Error("grid LeftOf failed")
 	}
-	if HoldsOnGrid(RightOf, a, b) {
+	if HoldsOnGrid(RightOf, a, b, 0) {
 		t.Error("grid RightOf false positive")
 	}
 	up := gridWith(8, [2]int{1, 4})
 	down := gridWith(8, [2]int{6, 4})
-	if !HoldsOnGrid(Above, up, down) || HoldsOnGrid(Below, up, down) {
+	if !HoldsOnGrid(Above, up, down, 0) || HoldsOnGrid(Below, up, down, 0) {
 		t.Error("grid vertical relations wrong")
 	}
 	// Empty maps never satisfy.
-	if HoldsOnGrid(LeftOf, gridWith(8), b) {
+	if HoldsOnGrid(LeftOf, gridWith(8), b, 0) {
 		t.Error("empty grid satisfied relation")
 	}
 }
@@ -128,10 +128,10 @@ func TestHoldsOnGrid(t *testing.T) {
 func TestHoldsOnGridExistential(t *testing.T) {
 	a := gridWith(8, [2]int{0, 7}, [2]int{0, 0})
 	b := gridWith(8, [2]int{0, 3})
-	if !HoldsOnGrid(LeftOf, a, b) {
+	if !HoldsOnGrid(LeftOf, a, b, 0) {
 		t.Error("existential LeftOf failed (cell at col 0)")
 	}
-	if !HoldsOnGrid(RightOf, a, b) {
+	if !HoldsOnGrid(RightOf, a, b, 0) {
 		t.Error("existential RightOf failed (cell at col 7)")
 	}
 }
@@ -145,10 +145,10 @@ func TestGridBoxAgreement(t *testing.T) {
 		b := geom.RectFromCenter(geom.Point{X: 260 + rng.Float64()*150, Y: 30 + rng.Float64()*388}, 20, 20)
 		ga := grid.FromCenters([]geom.Rect{a}, bounds, 56)
 		gb := grid.FromCenters([]geom.Rect{b}, bounds, 56)
-		if !HoldsOnGrid(LeftOf, ga, gb) {
+		if !HoldsOnGrid(LeftOf, ga, gb, 0) {
 			t.Fatal("grid disagrees with boxes for separated objects (LeftOf)")
 		}
-		if Holds(Above, a, b) != HoldsOnGrid(Above, ga, gb) {
+		if Holds(Above, a, b) != HoldsOnGrid(Above, ga, gb, 0) {
 			// Vertical positions are random; allow disagreement only when
 			// centres fall in the same grid row.
 			ai, _ := grid.CellOf(bounds, 56, a.Center())
@@ -166,14 +166,8 @@ func TestCountInRegionGrid(t *testing.T) {
 	b := grid.NewBinary(56)
 	b.Set(true, 40, 10) // lower-left area
 	b.Set(true, 10, 10) // upper-left
-	if n := CountInRegionGrid(b, bounds, lowerLeft); n != 1 {
+	if n := CountInRegionGrid(b, bounds, lowerLeft, 0); n != 1 {
 		t.Fatalf("CountInRegionGrid = %d, want 1", n)
-	}
-	if !AnyInRegionGrid(b, bounds, lowerLeft) {
-		t.Error("AnyInRegionGrid false negative")
-	}
-	if AnyInRegionGrid(grid.NewBinary(56), bounds, lowerLeft) {
-		t.Error("AnyInRegionGrid false positive on empty map")
 	}
 }
 
@@ -238,5 +232,5 @@ func TestGridSizeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	HoldsOnGrid(LeftOf, grid.NewBinary(3), grid.NewBinary(4))
+	HoldsOnGrid(LeftOf, grid.NewBinary(3), grid.NewBinary(4), 0)
 }

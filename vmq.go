@@ -309,6 +309,10 @@ type Session struct {
 	Tol Tolerances
 
 	seed uint64
+	// sampler picks every windowed call's detector samples, so
+	// consecutive calls continue one sample stream as they continue one
+	// frame stream.
+	sampler stream.Sampler
 }
 
 // NewSession creates a session over the profile with deterministic
@@ -323,6 +327,7 @@ func NewSession(p Profile, seed uint64) *Session {
 		Clock:    clk,
 		Tol:      query.DefaultTolerances,
 		seed:     seed,
+		sampler:  stream.NewUniformSampler(seed + 101),
 	}
 }
 
@@ -334,8 +339,8 @@ func (s *Session) UseICFilters() {
 // Bind compiles and binds a query against the session's profile.
 func (s *Session) Bind(q *Query) (*Plan, error) { return query.Bind(q, s.Profile) }
 
-// compile seeds a USING detector with the session's seed and the window
-// sampler with seed+101.
+// compile seeds a USING detector with the session's seed and hands every
+// aggregate the session's one sampler (seeded with seed+101).
 func (s *Session) compile(q *Query, backend Backend, sampleSize int) (*query.Compiled, error) {
 	return query.Compile(q, s.Profile, query.Deps{
 		Backend:     backend,
@@ -344,7 +349,7 @@ func (s *Session) compile(q *Query, backend Backend, sampleSize int) (*query.Com
 		Seed:        s.seed,
 		Tol:         s.Tol,
 		SampleSize:  sampleSize,
-		SamplerSeed: s.seed + 101,
+		Sampler:     s.sampler,
 	})
 }
 

@@ -128,6 +128,34 @@ func TestSessionAggregateHonoursAdvance(t *testing.T) {
 	}
 }
 
+// A session's windowed calls continue one sample stream as they continue
+// one frame stream: the second RunAggregate call samples the frames the
+// second window of RunWindows samples, not the first window's offsets
+// again.
+func TestSessionAggregateContinuesSampleStream(t *testing.T) {
+	q, err := vmq.ParseQuery(`SELECT COUNT(FRAMES) FROM jackson WHERE COUNT(car) >= 1
+		WINDOW HOPPING (SIZE 300, ADVANCE BY 300)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := vmq.NewSession(vmq.Jackson(), 1).RunWindows(q, 2, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := vmq.NewSession(vmq.Jackson(), 1)
+	for i := range want {
+		got, err := sess.RunAggregate(q, 0, 50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.TruePerFrameMean != want[i].TruePerFrameMean || got.Samples != want[i].Samples ||
+			got.Plain.Mean != want[i].Plain.Mean || got.CV.Estimate != want[i].CV.Estimate {
+			t.Fatalf("call %d: plain mean %v, CV %v over true mean %v; RunWindows window %d: %v, %v over %v",
+				i, got.Plain.Mean, got.CV.Estimate, got.TruePerFrameMean, i, want[i].Plain.Mean, want[i].CV.Estimate, want[i].TruePerFrameMean)
+		}
+	}
+}
+
 func TestUseICFilters(t *testing.T) {
 	sess := vmq.NewSession(vmq.Coral(), 3)
 	sess.UseICFilters()
