@@ -74,17 +74,24 @@ func NewOracle(clock *simclock.Clock) *Oracle { return &Oracle{Clock: clock} }
 // Detect implements Detector.
 func (o *Oracle) Detect(f *video.Frame) []Detection {
 	o.Clock.Charge(simclock.CostMaskRCNN, 1)
-	out := make([]Detection, len(f.Objects))
-	for i, obj := range f.Objects {
-		out[i] = Detection{
+	// A fresh slice: a Memo caches and shares what Detect returns.
+	return AppendTruth(make([]Detection, 0, len(f.Objects)), f)
+}
+
+// AppendTruth appends f's ground-truth objects to dst as detections
+// (score 1) and returns the extended slice. It charges no clock: callers
+// that audit against ground truth reuse one buffer across frames.
+func AppendTruth(dst []Detection, f *video.Frame) []Detection {
+	for _, obj := range f.Objects {
+		dst = append(dst, Detection{
 			Class:   obj.Class,
 			Color:   obj.Color,
 			Box:     obj.Box,
 			Score:   1,
 			TrackID: obj.TrackID,
-		}
+		})
 	}
-	return out
+	return dst
 }
 
 // Cost implements Detector.

@@ -60,9 +60,8 @@ func SamplerAblation(cfg Config) []SamplerRow {
 		var truth float64
 		for rep := 0; rep < reps; rep++ {
 			res, err := query.RunAggregate(plan, frames, backend, det, query.AggregateConfig{
-				SampleSize:       sampleSize,
-				Sampler:          sm.mk(cfg.seed() + uint64(rep)*6151),
-				MuFromFullWindow: true,
+				SampleSize: sampleSize,
+				Sampler:    sm.mk(cfg.seed() + uint64(rep)*6151),
 			})
 			if err != nil {
 				panic(err)

@@ -274,9 +274,8 @@ func tableIVWith(cfg Config, cal filters.Calibration) []TableIVRow {
 		var truth float64
 		for rep := 0; rep < reps; rep++ {
 			res, err := query.RunAggregate(plan, frames, backend, det, query.AggregateConfig{
-				SampleSize:       sampleSize,
-				Sampler:          stream.NewUniformSampler(cfg.seed() + uint64(rep)*7919),
-				MuFromFullWindow: true,
+				SampleSize: sampleSize,
+				Sampler:    stream.NewUniformSampler(cfg.seed() + uint64(rep)*7919),
 			})
 			if err != nil {
 				panic(fmt.Sprintf("experiments: %s: %v", spec.Name, err))

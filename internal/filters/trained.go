@@ -113,19 +113,8 @@ func (c *TrainedConfig) defaults() {
 func TrainFilter(tech Technique, profile video.Profile, cfg TrainedConfig, clock *simclock.Clock) *Trained {
 	cfg.mustValidate()
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x6c62272e07bb0142))
-	classes := make([]video.Class, 0, len(profile.Classes))
-	for _, cm := range profile.Classes {
-		classes = append(classes, cm.Class)
-	}
-	g := cfg.Img / 4
-
-	var backbone *nn.Sequential
-	if tech == IC {
-		backbone = nn.ICBackbone(rng, 3, cfg.Img, cfg.Channels)
-	} else {
-		backbone = nn.ODBackbone(rng, 3, cfg.Img, cfg.Channels)
-	}
-	net := nn.NewCountLocNet(rng, backbone, cfg.Channels, g, len(classes))
+	t := newTrained(tech, profile, cfg, clock, rng)
+	net, classes, g := t.Net, t.classes, t.Net.Grid()
 
 	// Materialise the training set with ground-truth annotations.
 	src := video.NewStream(profile, cfg.Seed+1)
@@ -200,6 +189,24 @@ func TrainFilter(tech Technique, profile video.Profile, cfg TrainedConfig, clock
 		}
 	}
 
+	return t
+}
+
+// newTrained builds a Trained backend over the profile's classes with a
+// freshly initialised network drawn from rng: the backbone tech calls
+// for and count/location heads on a g = Img/4 grid.
+func newTrained(tech Technique, profile video.Profile, cfg TrainedConfig, clock *simclock.Clock, rng *rand.Rand) *Trained {
+	classes := make([]video.Class, 0, len(profile.Classes))
+	for _, cm := range profile.Classes {
+		classes = append(classes, cm.Class)
+	}
+	var backbone *nn.Sequential
+	if tech == IC {
+		backbone = nn.ICBackbone(rng, 3, cfg.Img, cfg.Channels)
+	} else {
+		backbone = nn.ODBackbone(rng, 3, cfg.Img, cfg.Channels)
+	}
+	net := nn.NewCountLocNet(rng, backbone, cfg.Channels, cfg.Img/4, len(classes))
 	return &Trained{
 		Tech: tech, Net: net, Clock: clock,
 		Img: cfg.Img, Threshold: 0.2, NoiseSeed: cfg.Seed + 2,
@@ -296,24 +303,7 @@ func (t *TrainedCOF) forward(ar *nn.Arena, batch *tensor.Tensor, out []*Output) 
 // with.
 func NewUntrained(tech Technique, profile video.Profile, cfg TrainedConfig, clock *simclock.Clock) *Trained {
 	cfg.mustValidate()
-	rng := rand.New(rand.NewPCG(cfg.Seed, 0x6c62272e07bb0142))
-	classes := make([]video.Class, 0, len(profile.Classes))
-	for _, cm := range profile.Classes {
-		classes = append(classes, cm.Class)
-	}
-	g := cfg.Img / 4
-	var backbone *nn.Sequential
-	if tech == IC {
-		backbone = nn.ICBackbone(rng, 3, cfg.Img, cfg.Channels)
-	} else {
-		backbone = nn.ODBackbone(rng, 3, cfg.Img, cfg.Channels)
-	}
-	net := nn.NewCountLocNet(rng, backbone, cfg.Channels, g, len(classes))
-	return &Trained{
-		Tech: tech, Net: net, Clock: clock,
-		Img: cfg.Img, Threshold: 0.2, NoiseSeed: cfg.Seed + 2,
-		classes: classes,
-	}
+	return newTrained(tech, profile, cfg, clock, rand.New(rand.NewPCG(cfg.Seed, 0x6c62272e07bb0142)))
 }
 
 // SaveWeights serialises the trained network's parameters.

@@ -19,62 +19,70 @@ type AggregateConfig struct {
 	SampleSize int
 	// Sampler picks the sampled frame indices (default uniform).
 	Sampler stream.Sampler
-	// MuFromFullWindow controls where the control means µ_Z come from.
-	// When true (default and recommended) the cheap filters are evaluated
-	// on every frame of the window so µ_Z is exact — the classic
-	// cheap-proxy CV setup that yields genuine variance reduction on the
-	// final estimate. When false, µ_Z is the sample mean of the controls
-	// as the paper describes, which leaves the point estimate equal to the
-	// plain sample mean and tightens only the variance accounting.
+	// MuFromFullWindow is ignored: the control means µ_Z always come from
+	// filtering every frame of the window, so they are exact. It stays for
+	// the benchmark harness, which still sets it.
 	MuFromFullWindow bool
 }
 
-// ControlValues extracts the control-variate vector for one frame from the
-// filter output: one entry per predicate leaf (counts as estimates,
-// spatial/region predicates as 0/1 indicators) plus the aggregation target
-// estimate for AVG queries. This realises the paper's Figure 6: "for each
+// ControlValues appends the control-variate vector for one frame to dst
+// and returns the extended slice: one entry per predicate leaf (counts as
+// estimates, spatial/region predicates as 0/1 indicators) plus the
+// aggregation target estimate for AVG queries, or the total count when
+// the plan has neither. This realises the paper's Figure 6: "for each
 // frame suitable all suitable filters are applied and control variates is
 // deployed to estimate the aggregate."
-func ControlValues(plan *Plan, out *filters.Output, f *video.Frame) []float64 {
-	var vals []float64
-	var walk func(e BoundExpr)
-	walk = func(e BoundExpr) {
-		switch n := e.(type) {
-		case *boundAnd:
-			walk(n.l)
-			walk(n.r)
-		case *boundOr:
-			walk(n.l)
-			walk(n.r)
-		case *boundNot:
-			walk(n.e)
-		case *boundCount:
-			if n.all {
-				vals = append(vals, out.Total)
-			} else {
-				vals = append(vals, out.Counts[n.class])
-			}
-		case *boundSpatial, *boundRegionPred:
-			// Controls need correlation, not conservatism: Manhattan-1
-			// tolerance maximises agreement with the detector-evaluated
-			// truth by absorbing one-cell displacements.
-			v := 0.0
-			if e.EvalFilter(out, f.Bounds, Tolerances{Location: 1}) {
-				v = 1
-			}
-			vals = append(vals, v)
-		}
-	}
+func ControlValues(dst []float64, plan *Plan, out *filters.Output, f *video.Frame) []float64 {
+	n := len(dst)
 	if plan.Where != nil {
-		walk(plan.Where)
+		dst = appendLeafControls(dst, plan.Where, out, f)
 	}
 	if plan.Agg != nil {
-		vals = append(vals, plan.Agg.FilterRegionCount(out, f.Bounds))
+		dst = append(dst, plan.Agg.FilterRegionCount(out, f.Bounds))
 	}
-	if len(vals) == 0 {
-		vals = []float64{out.Total}
+	if len(dst) == n {
+		dst = append(dst, out.Total)
 	}
-	return vals
+	return dst
+}
+
+func appendLeafControls(dst []float64, e BoundExpr, out *filters.Output, f *video.Frame) []float64 {
+	switch n := e.(type) {
+	case *boundAnd:
+		return appendLeafControls(appendLeafControls(dst, n.l, out, f), n.r, out, f)
+	case *boundOr:
+		return appendLeafControls(appendLeafControls(dst, n.l, out, f), n.r, out, f)
+	case *boundNot:
+		return appendLeafControls(dst, n.e, out, f)
+	case *boundCount:
+		if n.all {
+			return append(dst, out.Total)
+		}
+		return append(dst, out.Counts[n.class])
+	case *boundSpatial, *boundRegionPred:
+		// Controls need correlation, not conservatism: Manhattan-1
+		// tolerance maximises agreement with the detector-evaluated
+		// truth by absorbing one-cell displacements.
+		v := 0.0
+		if e.EvalFilter(out, f.Bounds, Tolerances{Location: 1}) {
+			v = 1
+		}
+		return append(dst, v)
+	}
+	return dst
+}
+
+// frameValue is a frame's Y under dets: the 0/1 predicate outcome for
+// COUNT(FRAMES) queries, or for AVG queries the aggregation-target count
+// of a qualifying frame.
+func frameValue(plan *Plan, f *video.Frame, dets []detect.Detection) float64 {
+	if plan.Where != nil && !plan.Where.EvalExact(dets, f.Bounds) {
+		return 0
+	}
+	if plan.Query.Select.Kind == vql.SelectFrameCount {
+		return 1
+	}
+	return float64(plan.Agg.RegionCount(dets, f.Bounds))
 }
 
 // AggregateResult reports one window's estimate with and without control
@@ -132,84 +140,54 @@ func RunAggregate(plan *Plan, frames []*video.Frame, backend filters.Backend, de
 		cfg.SampleSize = n
 	}
 
-	yOf := func(f *video.Frame, dets []detect.Detection) float64 {
-		switch plan.Query.Select.Kind {
-		case vql.SelectFrameCount:
-			if plan.Where == nil || plan.Where.EvalExact(dets, f.Bounds) {
-				return 1
-			}
-			return 0
-		default: // SelectAvg
-			if plan.Where != nil && !plan.Where.EvalExact(dets, f.Bounds) {
-				return 0
-			}
-			return float64(plan.Agg.RegionCount(dets, f.Bounds))
+	// One scan reads every frame once. It fills the n×d control matrix,
+	// whose column means are the exact µ_Z, and sums the ground-truth Y.
+	// It goes through the backend's batch path (batched GEMMs for trained
+	// backends; under the server's shared scan, a memo fill all
+	// co-registered queries reuse) in bounded chunks, so the scan holds
+	// O(chunk) outputs however large the window is.
+	const scanChunk = 64
+	var (
+		ctrl    []float64
+		outs    []*filters.Output
+		truth   = Truth{plan: plan}
+		trueSum float64
+	)
+	for start := 0; start < n; start += scanChunk {
+		chunk := frames[start:min(start+scanChunk, n)]
+		outs = filters.EvaluateBatchInto(backend, chunk, outs[:0])
+		for k, f := range chunk {
+			ctrl = ControlValues(ctrl, plan, outs[k], f)
+			trueSum += truth.value(f)
 		}
 	}
+	d := len(ctrl) / n
 
-	// Control vectors. With MuFromFullWindow the filters run over the whole
-	// window (cheap) so µ_Z is exact; otherwise only sampled frames are
-	// filtered and µ_Z falls back to the sample mean.
-	d := len(ControlValues(plan, backend.Evaluate(frames[0]), frames[0]))
-	muZ := make([]float64, d)
-	controlAt := make(map[int][]float64, cfg.SampleSize)
-	if cfg.MuFromFullWindow {
-		// The full-window control scan goes through the backend's batch
-		// path (batched GEMMs for trained backends; under the server's
-		// shared scan, a memo fill all co-registered queries reuse) in
-		// bounded chunks, so peak memory stays O(chunk) however large the
-		// window is.
-		const scanChunk = 64
-		var outs []*filters.Output
-		for start := 0; start < n; start += scanChunk {
-			end := min(start+scanChunk, n)
-			outs = filters.EvaluateBatchInto(backend, frames[start:end], outs[:0])
-			for k, f := range frames[start:end] {
-				z := ControlValues(plan, outs[k], f)
-				controlAt[start+k] = z
-				for j, v := range z {
-					muZ[j] += v
-				}
-			}
-		}
-		for j := range muZ {
-			muZ[j] /= float64(n)
-		}
-	}
-
+	// The detector runs in sample order: an order-sensitive detector
+	// (SimYOLO) sees the frames in the order the sampler drew them.
 	idx := cfg.Sampler.Sample(n, cfg.SampleSize)
 	ys := make([]float64, len(idx))
-	zs := make([][]float64, len(idx))
 	for k, i := range idx {
-		f := frames[i]
-		z, ok := controlAt[i]
-		if !ok {
-			z = ControlValues(plan, backend.Evaluate(f), f)
-		}
-		zs[k] = z
-		ys[k] = yOf(f, det.Detect(f))
-	}
-	if !cfg.MuFromFullWindow {
-		for _, z := range zs {
-			for j, v := range z {
-				muZ[j] += v
-			}
-		}
-		for j := range muZ {
-			muZ[j] /= float64(len(zs))
-		}
+		ys[k] = frameValue(plan, frames[i], det.Detect(frames[i]))
 	}
 
-	// Drop constant controls (they carry no information and would make the
-	// covariance matrix singular).
-	keep := make([]int, 0, d)
+	// Keep the controls that vary over the sample (a constant one carries
+	// no information and would make the covariance matrix singular), with
+	// their window means µ_Z.
+	var cols [][]float64
+	var mu []float64
 	for j := 0; j < d; j++ {
-		col := make([]float64, len(zs))
-		for k := range zs {
-			col[k] = zs[k][j]
+		col := make([]float64, len(idx))
+		for k, i := range idx {
+			col[k] = ctrl[i*d+j]
 		}
 		if stats.Summarize(col).Variance > 0 {
-			keep = append(keep, j)
+			sum := 0.0
+			for i := j; i < len(ctrl); i += d {
+				sum += ctrl[i]
+			}
+			cols = append(cols, col)
+			mu = append(mu, sum/float64(n))
 		}
 	}
 
@@ -217,28 +195,12 @@ func RunAggregate(plan *Plan, frames []*video.Frame, backend filters.Backend, de
 		WindowSize:           n,
 		Samples:              len(idx),
 		Plain:                stats.Summarize(ys),
-		Controls:             len(keep),
+		Controls:             len(cols),
+		TruePerFrameMean:     trueSum / float64(n),
 		VirtualTimePerSample: det.Cost().PerCall + backend.Technique().Cost().PerCall,
 	}
-	truth := GroundTruth(plan, frames)
-	switch plan.Query.Select.Kind {
-	case vql.SelectFrameCount:
-		for _, t := range truth {
-			if t {
-				res.TruePerFrameMean++
-			}
-		}
-		res.TruePerFrameMean /= float64(n)
-	default:
-		for i, f := range frames {
-			if truth[i] {
-				res.TruePerFrameMean += float64(plan.Agg.RegionCount(truthDetections(f), f.Bounds))
-			}
-		}
-		res.TruePerFrameMean /= float64(n)
-	}
-
-	if len(keep) == 0 {
+	switch len(cols) {
+	case 0:
 		// No usable controls: fall back to the plain estimate.
 		res.CV = stats.CVResult{
 			Plain:     res.Plain,
@@ -247,14 +209,8 @@ func RunAggregate(plan *Plan, frames []*video.Frame, backend filters.Backend, de
 			Reduction: 1,
 		}
 		return res, nil
-	}
-
-	if len(keep) == 1 {
-		xs := make([]float64, len(zs))
-		for k := range zs {
-			xs[k] = zs[k][keep[0]]
-		}
-		cv, err := stats.ControlVariate(ys, xs, muZ[keep[0]])
+	case 1:
+		cv, err := stats.ControlVariate(ys, cols[0], mu[0])
 		if err != nil {
 			return nil, err
 		}
@@ -262,27 +218,19 @@ func RunAggregate(plan *Plan, frames []*video.Frame, backend filters.Backend, de
 		return res, nil
 	}
 
-	zk := make([][]float64, len(zs))
+	zs := make([][]float64, len(idx))
 	for k := range zs {
-		row := make([]float64, len(keep))
-		for jj, j := range keep {
-			row[jj] = zs[k][j]
+		row := make([]float64, len(cols))
+		for jj, col := range cols {
+			row[jj] = col[k]
 		}
-		zk[k] = row
+		zs[k] = row
 	}
-	mu := make([]float64, len(keep))
-	for jj, j := range keep {
-		mu[jj] = muZ[j]
-	}
-	cv, err := stats.MultipleControlVariates(ys, zk, mu)
+	cv, err := stats.MultipleControlVariates(ys, zs, mu)
 	if err != nil {
 		// Near-singular sample covariance (e.g. duplicated controls):
 		// retry with the first control alone.
-		xs := make([]float64, len(zk))
-		for k := range zk {
-			xs[k] = zk[k][0]
-		}
-		single, serr := stats.ControlVariate(ys, xs, mu[0])
+		single, serr := stats.ControlVariate(ys, cols[0], mu[0])
 		if serr != nil {
 			return nil, err
 		}

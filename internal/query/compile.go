@@ -68,7 +68,7 @@ func Compile(q *vql.Query, profile video.Profile, deps Deps) (*Compiled, error) 
 		if n <= 0 {
 			n = 200
 		}
-		c.agg = &AggregateConfig{SampleSize: n, Sampler: deps.Sampler, MuFromFullWindow: true}
+		c.agg = &AggregateConfig{SampleSize: n, Sampler: deps.Sampler}
 	} else if w := q.Window; w != nil && w.Advance < w.Size {
 		return nil, fmt.Errorf("%w: SELECT FRAMES does not take a sliding window", ErrInvalidQuery)
 	}

@@ -138,32 +138,42 @@ func (e *Engine) RunSequential(plan *Plan, frames []*video.Frame) *Result {
 // truth (no detector, no cost), returning one boolean per frame.
 func GroundTruth(plan *Plan, frames []*video.Frame) []bool {
 	out := make([]bool, len(frames))
+	most := 0
+	for _, f := range frames {
+		most = max(most, len(f.Objects))
+	}
+	t := Truth{plan: plan, dets: make([]detect.Detection, 0, most)}
 	for i, f := range frames {
-		out[i] = GroundTruthFrame(plan, f)
+		out[i] = t.Match(f)
 	}
 	return out
 }
 
-// GroundTruthFrame evaluates the plan's predicate on one frame's simulator
-// ground truth. The server uses it to maintain online recall/precision
-// proxies for registered queries without charging any virtual cost.
-func GroundTruthFrame(plan *Plan, f *video.Frame) bool {
-	if plan.Where == nil {
-		return true
-	}
-	return plan.Where.EvalExact(truthDetections(f), f.Bounds)
+// Truth evaluates a plan on simulator ground truth, charging no virtual
+// cost. It copies each frame's objects into one detection buffer it
+// reuses, so one Truth serves one goroutine. The server audits a
+// monitor's recall with it.
+type Truth struct {
+	plan *Plan
+	dets []detect.Detection
 }
 
-// truthDetections converts a frame's ground truth into detections without
-// charging any clock.
-func truthDetections(f *video.Frame) []detect.Detection {
-	dets := make([]detect.Detection, len(f.Objects))
-	for i, o := range f.Objects {
-		dets[i] = detect.Detection{
-			Class: o.Class, Color: o.Color, Box: o.Box, Score: 1, TrackID: o.TrackID,
-		}
-	}
-	return dets
+// NewTruth returns a ground-truth evaluator for plan.
+func NewTruth(plan *Plan) *Truth { return &Truth{plan: plan} }
+
+// Match reports whether the plan's predicate holds on f's ground truth.
+func (t *Truth) Match(f *video.Frame) bool {
+	return t.plan.Where == nil || t.plan.Where.EvalExact(t.detections(f), f.Bounds)
+}
+
+// value is f's aggregate quantity Y on ground truth (see frameValue).
+func (t *Truth) value(f *video.Frame) float64 {
+	return frameValue(t.plan, f, t.detections(f))
+}
+
+func (t *Truth) detections(f *video.Frame) []detect.Detection {
+	t.dets = detect.AppendTruth(t.dets[:0], f)
+	return t.dets
 }
 
 // Score compares a Result against ground truth, returning the paper's

@@ -69,7 +69,7 @@ func TestEvalExactPredicates(t *testing.T) {
 		obj(video.Car, video.Red, 100, 300),
 		obj(video.Person, video.Green, 300, 300),
 	)
-	dets := truthDetections(f)
+	dets := detect.AppendTruth(nil, f)
 	cases := []struct {
 		src  string
 		want bool
@@ -108,12 +108,12 @@ func TestSpatialExcludesIdentity(t *testing.T) {
 	p := video.Jackson()
 	f := frameWith(obj(video.Car, video.Red, 100, 100))
 	plan := MustBind(parse(t, `SELECT FRAMES FROM jackson WHERE car LEFT OF car`), p)
-	if plan.Where.EvalExact(truthDetections(f), f.Bounds) {
+	if plan.Where.EvalExact(detect.AppendTruth(nil, f), f.Bounds) {
 		t.Fatal("identity pair satisfied spatial predicate")
 	}
 	// Two cars do qualify.
 	f2 := frameWith(obj(video.Car, video.Red, 100, 100), obj(video.Car, video.Blue, 300, 100))
-	if !plan.Where.EvalExact(truthDetections(f2), f2.Bounds) {
+	if !plan.Where.EvalExact(detect.AppendTruth(nil, f2), f2.Bounds) {
 		t.Fatal("two distinct cars did not satisfy car LEFT OF car")
 	}
 }
@@ -305,9 +305,8 @@ func TestAggregateFrameCountCV(t *testing.T) {
 		WINDOW HOPPING (SIZE 3000, ADVANCE BY 3000)`), p)
 	backend := filters.NewODFilter(p, 1, nil)
 	res, err := RunAggregate(plan, frames, backend, detect.NewOracle(nil), AggregateConfig{
-		SampleSize:       300,
-		Sampler:          stream.NewUniformSampler(5),
-		MuFromFullWindow: true,
+		SampleSize: 300,
+		Sampler:    stream.NewUniformSampler(5),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -335,9 +334,8 @@ func TestAggregateAvgWithRegion(t *testing.T) {
 	plan := MustBind(parse(t, `SELECT AVG(COUNT(person IN QUADRANT(LOWER LEFT))) FROM coral`), p)
 	backend := filters.NewODFilter(p, 2, nil)
 	res, err := RunAggregate(plan, frames, backend, detect.NewOracle(nil), AggregateConfig{
-		SampleSize:       200,
-		Sampler:          stream.NewUniformSampler(9),
-		MuFromFullWindow: true,
+		SampleSize: 200,
+		Sampler:    stream.NewUniformSampler(9),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -359,9 +357,8 @@ func TestMultipleControlsUsed(t *testing.T) {
 		WINDOW HOPPING (SIZE 1500, ADVANCE BY 1500)`), p)
 	backend := filters.NewODFilter(p, 3, nil)
 	res, err := RunAggregate(plan, frames, backend, detect.NewOracle(nil), AggregateConfig{
-		SampleSize:       250,
-		Sampler:          stream.NewUniformSampler(11),
-		MuFromFullWindow: true,
+		SampleSize: 250,
+		Sampler:    stream.NewUniformSampler(11),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,8 +13,8 @@ import (
 )
 
 // frameRecorder notes the index of every frame the estimator filters.
-// With MuFromFullWindow every frame of a window is filtered, so the
-// distinct indices seen since the last window are that window's frames.
+// The estimator filters every frame of a window, so the distinct indices
+// seen since the last window are that window's frames.
 type frameRecorder struct {
 	filters.Backend
 	seen []int

@@ -458,18 +458,9 @@ func (r *Registration) run(c *query.Compiled, maxFrames int) {
 		})
 	} else {
 		// Monitor fails only on an aggregate.
+		truth := query.NewTruth(c.Plan)
 		res, _ = c.Monitor(r.sub, maxFrames, func(o query.FrameObservation) {
-			truth := query.GroundTruthFrame(c.Plan, o.Frame)
-			r.stats.mu.Lock()
-			r.stats.frames++
-			if o.Passed {
-				r.stats.passed++
-			}
-			if o.Matched {
-				r.stats.matches++
-			}
-			r.stats.acc.Observe(o.Matched, truth)
-			r.stats.mu.Unlock()
+			r.stats.audit(o, truth)
 			if o.Matched {
 				r.emit(Event{
 					Kind:       EventMatch,
@@ -495,6 +486,22 @@ func (r *Registration) run(c *query.Compiled, maxFrames int) {
 	// load, the stream's totals always land (overwriting the oldest
 	// retained event if it must; under Block they wait for space).
 	r.emitFinal(ev, false)
+}
+
+// audit books one confirmed frame of a monitor, checking its match
+// against simulator ground truth for the recall/precision proxies.
+func (s *regStats) audit(o query.FrameObservation, truth *query.Truth) {
+	want := truth.Match(o.Frame)
+	s.mu.Lock()
+	s.frames++
+	if o.Passed {
+		s.passed++
+	}
+	if o.Matched {
+		s.matches++
+	}
+	s.acc.Observe(o.Matched, want)
+	s.mu.Unlock()
 }
 
 // countedSource is a windowed registration's view of its subscription:

@@ -175,10 +175,6 @@ func (p *PushSource) Close() {
 	p.mu.Unlock()
 }
 
-// Drain is Close under the name feeds look for: stopping ingestion while
-// letting buffered frames drain is precisely a feed's graceful drain.
-func (p *PushSource) Drain() { p.Close() }
-
 // Closed reports whether ingestion has ended.
 func (p *PushSource) Closed() bool {
 	p.mu.Lock()

@@ -1,9 +1,9 @@
 // Package stream provides the streaming plumbing of Section III: pull-based
-// frame sources, the tee that shares one feed among its queries, and the
-// frame samplers that back the Monte Carlo aggregate estimators — uniform
-// random sampling without replacement, systematic sampling, and reservoir
-// sampling for unbounded streams. The WINDOW clause is stepped by
-// query.EachWindow.
+// frame sources (a slice, the simulator, a push-fed ingestion buffer), the
+// tee that shares one feed among its queries, and the frame samplers that
+// back the Monte Carlo aggregate estimators — uniform random sampling
+// without replacement, systematic and stratified sampling. The WINDOW
+// clause is stepped by query.EachWindow.
 package stream
 
 import (
@@ -151,36 +151,6 @@ func (s *StratifiedSampler) Sample(n, k int) []int {
 	return out
 }
 
-// Reservoir maintains a uniform sample of size k over an unbounded stream
-// of items (classic Algorithm R).
-type Reservoir[T any] struct {
-	K     int
-	Items []T
-	seen  int
-	rng   *rand.Rand
-}
-
-// NewReservoir creates a reservoir of capacity k.
-func NewReservoir[T any](k int, seed uint64) *Reservoir[T] {
-	return &Reservoir[T]{K: k, rng: rand.New(rand.NewPCG(seed, 0xc2b2ae3d27d4eb4f))}
-}
-
-// Offer presents one item to the reservoir.
-func (r *Reservoir[T]) Offer(item T) {
-	r.seen++
-	if len(r.Items) < r.K {
-		r.Items = append(r.Items, item)
-		return
-	}
-	j := r.rng.IntN(r.seen)
-	if j < r.K {
-		r.Items[j] = item
-	}
-}
-
-// Seen returns the number of items offered so far.
-func (r *Reservoir[T]) Seen() int { return r.seen }
-
 // SliceSource adapts a pre-materialised frame slice to Source. Next
 // returns (nil, false) once the slice is exhausted.
 type SliceSource struct {
@@ -197,6 +167,3 @@ func (s *SliceSource) Next() (*video.Frame, bool) {
 	s.pos++
 	return f, true
 }
-
-// Remaining returns how many frames are left.
-func (s *SliceSource) Remaining() int { return len(s.Frames) - s.pos }
